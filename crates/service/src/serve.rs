@@ -245,6 +245,7 @@ fn serve_sharded<R: BufRead, W: Write + Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Response;
 
     fn conversation() -> String {
         let mut lines = vec![
@@ -303,5 +304,74 @@ mod tests {
             );
         }
         assert!(text.contains("MalformedRequest"));
+    }
+
+    #[test]
+    fn a_too_deeply_nested_line_is_malformed_and_serving_continues() {
+        let input = format!(
+            "{}\n{}\n",
+            "[".repeat(100_000),
+            r#"{"version":5,"request_id":7,"request":"Health"}"#
+        );
+        for shards in [0, 2] {
+            let (out, summary) = serve(
+                input.as_bytes(),
+                Vec::new(),
+                &ServeOptions {
+                    shards,
+                    ..ServeOptions::default()
+                },
+            );
+            let text = String::from_utf8(out.expect("writer comes back")).unwrap();
+            assert_eq!((summary.requests, summary.malformed), (2, 1), "{text}");
+            let replies: Vec<Reply> = text
+                .lines()
+                .map(|line| serde_json::from_str(line).unwrap())
+                .collect();
+            assert_eq!(replies.len(), 2);
+            let malformed = replies.iter().find(|r| r.request_id == 0).unwrap();
+            assert!(
+                matches!(malformed.result(), Err(ServiceError::MalformedRequest { message }) if message.contains("recursion limit")),
+                "{text}"
+            );
+            let health = replies.iter().find(|r| r.request_id == 7).unwrap();
+            assert!(health.result().is_ok(), "{text}");
+        }
+    }
+
+    #[test]
+    fn a_surrogate_pair_escape_names_the_same_worker_as_raw_utf8() {
+        // `w😀` once as raw UTF-8 and once as Python's default `json.dumps`
+        // writes it (ASCII only, the emoji as a UTF-16 surrogate pair).
+        let escaped_worker = format!("w{}ud83d{}ude00", '\\', '\\');
+        let lines = [
+            r#"{"version":5,"request_id":1,"request":{"CreateTask":{"task":"t","labels":["a","b"],"config":{"strategy":"EntropyBaseline","seed":0,"budget":null,"handle_faulty_workers":true,"online_defense":false,"shortlist":null,"wal":false,"triage":false}}}}"#.to_string(),
+            r#"{"version":5,"request_id":2,"request":{"SubmitVotes":{"task":"t","votes":[{"worker":"w😀","object":"o1","label":"a"}]}}}"#.to_string(),
+            format!(r#"{{"version":5,"request_id":3,"request":{{"SubmitVotes":{{"task":"t","votes":[{{"worker":"{escaped_worker}","object":"o2","label":"a"}}]}}}}}}"#),
+            r#"{"version":5,"request_id":4,"request":{"QueryWorkerTrust":{"task":"t"}}}"#.to_string(),
+        ];
+        let (out, summary) = serve(
+            lines.join("\n").as_bytes(),
+            Vec::new(),
+            &ServeOptions::default(),
+        );
+        let text = String::from_utf8(out.unwrap()).unwrap();
+        assert_eq!(summary.malformed, 0, "{text}");
+        let replies: Vec<Reply> = text
+            .lines()
+            .map(|line| serde_json::from_str(line).unwrap())
+            .collect();
+        match replies[2].result() {
+            Ok(Response::VotesAccepted { new_workers, .. }) => assert_eq!(*new_workers, 0),
+            other => panic!("unexpected reply {other:?}"),
+        }
+        match replies[3].result() {
+            Ok(Response::WorkerTrust { workers, .. }) => {
+                assert_eq!(workers.len(), 1);
+                assert_eq!(workers[0].worker, "w😀");
+                assert_eq!(workers[0].votes, 2);
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
     }
 }

@@ -241,22 +241,29 @@ mod tests {
     #[test]
     fn par_map_actually_runs_on_multiple_threads() {
         use std::collections::HashSet;
-        use std::sync::Mutex;
+        use std::sync::{Barrier, Mutex};
+        // With one worker the barrier below would wait forever.
+        if crate::current_num_threads() <= 1 {
+            return;
+        }
+        // Items 0 and 1 each wait for the other, so they can only complete
+        // on two threads that run at the same time.
+        let barrier = Barrier::new(2);
         let seen = Mutex::new(HashSet::new());
         let items: Vec<u64> = (0..256).collect();
         let _: Vec<u64> = items
             .par_iter()
             .map(|&x| {
                 seen.lock().unwrap().insert(std::thread::current().id());
-                // A little busywork so the scheduler actually spreads items.
-                (0..1000u64).fold(x, |a, b| a.wrapping_add(b))
+                if x < 2 {
+                    barrier.wait();
+                }
+                x
             })
             .collect();
-        if crate::current_num_threads() > 1 {
-            assert!(
-                seen.lock().unwrap().len() > 1,
-                "expected more than one worker thread"
-            );
-        }
+        assert!(
+            seen.lock().unwrap().len() > 1,
+            "expected more than one worker thread"
+        );
     }
 }

@@ -2,10 +2,19 @@
 //!
 //! Renders the serde shim's [`serde::Value`] data model to JSON and parses
 //! JSON text back into it. Covers the subset the workspace needs:
-//! `to_string`, `to_string_pretty` and `from_str`.
+//! `to_string`, `to_string_pretty`, `to_writer` and `from_str`.
+//!
+//! Parsing takes time linear in the input, accepts at most 128 nested
+//! arrays/objects (the real crate's default recursion limit) and decodes
+//! `\u` escapes, UTF-16 surrogate pairs included. Writing emits non-ASCII
+//! characters as raw UTF-8 and escapes only what JSON requires.
 
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
+
+/// Deepest array/object nesting [`from_str`] accepts. Deeper input is a
+/// parse error rather than a stack overflow on the parsing thread.
+const MAX_DEPTH: usize = 128;
 
 /// Error produced by parsing or by the typed conversion after parsing.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,11 +87,12 @@ pub fn to_writer<W: std::io::Write, T: Serialize + ?Sized>(
 /// Parses JSON text into any deserializable type.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
     let mut parser = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
     parser.skip_ws();
-    let value = parser.parse_value()?;
+    let value = parser.parse_value(0)?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
         return Err(Error::new(format!(
@@ -189,6 +199,9 @@ fn write_string<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
+    /// The input: `bytes` for scanning, `text` for copying out runs of
+    /// plain string characters (already valid UTF-8, so never re-checked).
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -227,13 +240,19 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, Error> {
+    /// Parses the value at `pos`; `depth` counts the arrays and objects
+    /// around it.
+    fn parse_value(&mut self, depth: usize) -> Result<Value, Error> {
         match self.peek() {
             None => Err(Error::new("unexpected end of input")),
             Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(Error::new(format!(
+                "recursion limit exceeded at offset {}",
+                self.pos
+            ))),
             Some(b'[') => {
                 self.pos += 1;
                 let mut items = Vec::new();
@@ -244,7 +263,7 @@ impl Parser<'_> {
                 }
                 loop {
                     self.skip_ws();
-                    items.push(self.parse_value()?);
+                    items.push(self.parse_value(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -275,7 +294,7 @@ impl Parser<'_> {
                     self.skip_ws();
                     self.expect(b':')?;
                     self.skip_ws();
-                    let value = self.parse_value()?;
+                    let value = self.parse_value(depth + 1)?;
                     entries.push((key, value));
                     self.skip_ws();
                     match self.peek() {
@@ -301,52 +320,74 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(Error::new("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000C}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(Error::new)?,
-                                16,
-                            )
-                            .map_err(Error::new)?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::new("invalid \\u escape"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return Err(Error::new(format!("bad escape {other:?}"))),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).map_err(Error::new)?;
-                    let c = rest.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run of plain characters up to the next `"` or `\` in
+            // one step. Both stop bytes are ASCII and every run starts just
+            // past one (or past an all-ASCII escape), so the slice is
+            // char-aligned.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| Error::new("unterminated string"))?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
             }
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{0008}'),
+                Some(b'f') => out.push('\u{000C}'),
+                Some(b'u') => out.push(self.parse_unicode_escape()?),
+                other => return Err(Error::new(format!("bad escape {other:?}"))),
+            }
+            self.pos += 1;
         }
+    }
+
+    /// Decodes the `\u` escape whose `u` is at `pos`, leaving `pos` on its
+    /// last hex digit. A UTF-16 high surrogate must be followed by a `\u`
+    /// low surrogate (how `ensure_ascii` encoders write characters beyond
+    /// U+FFFF); the pair decodes to one character.
+    fn parse_unicode_escape(&mut self) -> Result<char, Error> {
+        let invalid = || Error::new("invalid \\u escape");
+        let mut code = self.parse_hex4()?;
+        if (0xD800..0xDC00).contains(&code) {
+            if self.bytes.get(self.pos + 1..self.pos + 3) != Some(b"\\u") {
+                return Err(invalid());
+            }
+            self.pos += 2;
+            let low = self.parse_hex4()?;
+            if !(0xDC00..0xE000).contains(&low) {
+                return Err(invalid());
+            }
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+        }
+        char::from_u32(code).ok_or_else(invalid)
+    }
+
+    /// Reads exactly four hex digits after the `u` at `pos`, leaving `pos`
+    /// on the last of them.
+    fn parse_hex4(&mut self) -> Result<u32, Error> {
+        let hex = self
+            .bytes
+            .get(self.pos + 1..self.pos + 5)
+            .ok_or_else(|| Error::new("truncated \\u escape"))?;
+        let mut code = 0;
+        for &b in hex {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| Error::new("invalid \\u escape"))?;
+            code = code * 16 + digit;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 
     fn parse_number(&mut self) -> Result<Value, Error> {
@@ -378,6 +419,154 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::time::{Duration, Instant};
+
+    /// Any JSON value, as parsed.
+    #[derive(Debug)]
+    struct Wrapper(Value);
+    impl Serialize for Wrapper {
+        fn to_value(&self) -> Value {
+            self.0.clone()
+        }
+    }
+    impl Deserialize for Wrapper {
+        fn from_value(value: &Value) -> Result<Self, serde::Error> {
+            Ok(Wrapper(value.clone()))
+        }
+    }
+
+    /// One character of a class the codec treats differently: printable
+    /// ASCII, a character with a short escape, a control byte, or 2-, 3-
+    /// and 4-byte UTF-8.
+    fn gen_char(class: u32, pick: u64) -> char {
+        const ESCAPED: [char; 8] = ['"', '\\', '/', '\n', '\r', '\t', '\u{8}', '\u{c}'];
+        let (lo, hi) = match class {
+            0 => (0x20, 0x80),
+            1 => return ESCAPED[(pick % ESCAPED.len() as u64) as usize],
+            2 => (0x00, 0x20),
+            3 => (0x80, 0x800),
+            4 => (0x800, 0x1_0000),
+            _ => (0x1_0000, 0x11_0000),
+        };
+        let code = lo + (pick % u64::from(hi - lo)) as u32;
+        // The 3-byte range spans the surrogate gap, which is not a char.
+        char::from_u32(code).unwrap_or('\u{fffd}')
+    }
+
+    /// `s` as a JSON string literal the way Python's default `json.dumps`
+    /// writes it: ASCII only, everything else as `\u` escapes, characters
+    /// beyond U+FFFF as UTF-16 surrogate pairs.
+    fn ascii_only_literal(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                ' '..='~' => out.push(c),
+                _ => {
+                    for unit in c.encode_utf16(&mut [0; 2]) {
+                        out.push_str(&format!("\\u{unit:04X}"));
+                    }
+                }
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn strings_round_trip_byte_identical(
+            chars in proptest::collection::vec((0u32..6, any::<u64>()), 0..48usize)
+        ) {
+            let s: String = chars.iter().map(|&(class, pick)| gen_char(class, pick)).collect();
+            let back: String = from_str(&to_string(&s).unwrap()).unwrap();
+            prop_assert_eq!(&back, &s);
+            let back: String = from_str(&ascii_only_literal(&s)).unwrap();
+            prop_assert_eq!(&back, &s);
+            // Object keys go through the same string parser.
+            let object = Value::Object(vec![(s.clone(), Value::Str(s.clone()))]);
+            let parsed: Wrapper = from_str(&to_string(&Wrapper(object.clone())).unwrap()).unwrap();
+            prop_assert_eq!(parsed.0, object);
+        }
+    }
+
+    /// A `\u` escape with `digits` after the `u`.
+    fn u(digits: &str) -> String {
+        format!("\\u{digits}")
+    }
+
+    /// `body` between quotes, as is.
+    fn quoted(body: &str) -> String {
+        format!("\"{body}\"")
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_fail() {
+        let worker: String = from_str(&quoted(&format!("w{}{}", u("d83d"), u("de00")))).unwrap();
+        assert_eq!(worker, "w😀");
+        let last: String = from_str(&quoted(&(u("DBFF") + &u("DFFF")))).unwrap();
+        assert_eq!(last, "\u{10ffff}");
+        for lone in [
+            u("d83d"),
+            u("d83d") + "x",
+            u("d83d") + &u(""),
+            u("d83d") + &u("d83d"),
+            u("d83d") + &u("0041"),
+            u("de00"),
+        ] {
+            let literal = quoted(&lone);
+            let err = from_str::<String>(&literal).unwrap_err();
+            assert!(err.to_string().contains("\\u escape"), "{literal}: {err}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        let text: String = from_str(&quoted(&(u("0041") + &u("00e9") + &u("00E9")))).unwrap();
+        assert_eq!(text, "Aéé");
+        for digits in ["+041", "-041", " 041", "004g", "004"] {
+            let literal = quoted(&u(digits));
+            assert!(from_str::<String>(&literal).is_err(), "{literal} parsed");
+        }
+        // Input ending inside the escape.
+        assert!(from_str::<String>(&format!("\"{}", u("004"))).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_128_levels() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Wrapper>(&arrays(MAX_DEPTH)).is_ok());
+        let err = from_str::<Wrapper>(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        let objects = |depth: usize| format!("{}0{}", r#"{"k":"#.repeat(depth), "}".repeat(depth));
+        assert!(from_str::<Wrapper>(&objects(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Wrapper>(&objects(MAX_DEPTH + 1)).is_err());
+        // Fails at the cap instead of recursing once per byte.
+        assert!(from_str::<Wrapper>(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn a_one_mib_string_decodes_in_linear_time() {
+        let mut s = String::new();
+        while s.len() < 1 << 20 {
+            s.push_str(
+                "plain ASCII, naïve 2-byte, ‘3-byte’, 😀 4-byte, a \"quote\" and a\nnewline; ",
+            );
+        }
+        let literal = to_string(&s).unwrap();
+        let started = Instant::now();
+        let back: String = from_str(&literal).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(back, s);
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "decoding a 1 MiB string took {elapsed:?}"
+        );
+    }
 
     #[test]
     fn values_round_trip_through_compact_and_pretty_json() {
@@ -394,17 +583,6 @@ mod tests {
             ),
             ("empty".to_string(), Value::Array(vec![])),
         ]);
-        struct Wrapper(Value);
-        impl Serialize for Wrapper {
-            fn to_value(&self) -> Value {
-                self.0.clone()
-            }
-        }
-        impl Deserialize for Wrapper {
-            fn from_value(value: &Value) -> Result<Self, serde::Error> {
-                Ok(Wrapper(value.clone()))
-            }
-        }
         for text in [
             to_string(&Wrapper(value.clone())).unwrap(),
             to_string_pretty(&Wrapper(value.clone())).unwrap(),
