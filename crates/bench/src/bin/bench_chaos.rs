@@ -133,6 +133,8 @@ struct ShardReport {
 struct ChaosReport {
     quick: bool,
     seed: u64,
+    /// CPUs available to the process (`std::thread::available_parallelism`).
+    host_cpus: usize,
     shards: usize,
     tenants: usize,
     total_requests: usize,
@@ -527,6 +529,7 @@ fn main() {
     let report = ChaosReport {
         quick,
         seed: SEED,
+        host_cpus: std::thread::available_parallelism().map_or(0, |n| n.get()),
         shards: SHARDS,
         tenants: workload.tenants.len(),
         total_requests: submitted.len(),

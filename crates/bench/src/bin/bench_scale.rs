@@ -23,15 +23,18 @@
 //!   anchors, so the p99 covers the *largest* delta in the cadence, not
 //!   just a one-event log.
 //! * **Session memory** — [`ValidationSession::memory_bytes`] of the fully
-//!   grown session, the per-shard gauge `ShardStats.memory_bytes` reports.
+//!   grown session, the per-shard gauge `ShardStats.memory_bytes` reports,
+//!   against the CSR-mirrored matrix footprint of the same corpus.
 //!
 //! Usage: `bench_scale [--quick] [--check] [--out <path>]`
 //!
 //! `--quick` shrinks the corpus for CI smoke runs (still above both
 //! parallel gates, so the blocked kernels genuinely engage); `--check`
 //! exits non-zero when the CSR E-step speedup drops below 1.3x, the
-//! parallel arm falls below 0.9x serial, or a delta snapshot stalls as
-//! long as a full one (the CI `scale-smoke` gate).
+//! parallel arm falls below 0.9x serial, a delta snapshot stalls as long as
+//! a full one, or the session holds more than 1.25x the CSR-mirrored
+//! matrix footprint (a second copy of the corpus would double it) — the CI
+//! `scale-smoke` gate.
 
 use crowdval_aggregation::em::expectation_step;
 use crowdval_aggregation::{em_threads, set_em_threads, EmConfig, IncrementalEm};
@@ -117,6 +120,8 @@ struct EStepCell {
 #[derive(Debug, Serialize)]
 struct BenchReport {
     scenario: String,
+    /// CPUs available to the process (`std::thread::available_parallelism`).
+    host_cpus: usize,
     num_objects: usize,
     num_workers: usize,
     num_labels: usize,
@@ -142,6 +147,11 @@ struct BenchReport {
     /// `ValidationSession::memory_bytes` of the grown session — the gauge
     /// `ShardStats.memory_bytes` surfaces per shard.
     session_memory_bytes: usize,
+    /// `session_memory_bytes` over the votes the session ingested.
+    session_bytes_per_vote: f64,
+    /// `session_memory_bytes` over the `ingest_csr` footprint (paged +
+    /// compact + mask bytes): about 1 when the session stores one copy.
+    session_memory_over_csr: f64,
     snapshot_full_p99_ms: f64,
     snapshot_full_max_ms: f64,
     snapshot_delta_p99_ms: f64,
@@ -361,11 +371,14 @@ fn main() {
 
     let snapshot_full_p99_ms = p99_ms(&full_walls);
     let snapshot_delta_p99_ms = p99_ms(&delta_walls);
+    let csr_matrix_bytes =
+        ingest_csr.paged_bytes + ingest_csr.compact_bytes + ingest_csr.mask_bytes;
     let report = BenchReport {
         scenario: format!(
             "synthetic million-scale stream, xorshift seed 0x9e3779b97f4a7c15{}",
             if quick { " (quick)" } else { "" }
         ),
+        host_cpus: std::thread::available_parallelism().map_or(0, |n| n.get()),
         num_objects: n,
         num_workers: k,
         num_labels: m,
@@ -386,6 +399,9 @@ fn main() {
         session_build_seconds,
         session_build_em_iterations,
         session_memory_bytes: session.memory_bytes(),
+        session_bytes_per_vote: session.memory_bytes() as f64
+            / session.votes_ingested().max(1) as f64,
+        session_memory_over_csr: session.memory_bytes() as f64 / csr_matrix_bytes.max(1) as f64,
         snapshot_full_p99_ms,
         snapshot_full_max_ms: max_ms(&full_walls),
         snapshot_delta_p99_ms,
@@ -434,6 +450,13 @@ fn main() {
             eprintln!(
                 "FAIL: delta snapshot p99 stall not below full snapshot p99 ({:.3} ms >= {:.3} ms)",
                 report.snapshot_delta_p99_ms, report.snapshot_full_p99_ms
+            );
+            failed = true;
+        }
+        if report.session_memory_over_csr > 1.25 {
+            eprintln!(
+                "FAIL: session holds {:.2}x the CSR-mirrored matrix footprint (> 1.25x: a second copy of the corpus?)",
+                report.session_memory_over_csr
             );
             failed = true;
         }

@@ -263,12 +263,6 @@ pub fn fig08_iteration_reduction() -> Report {
     report
 }
 
-/// Helper reused by unit tests of this module.
-#[allow(dead_code)]
-fn precision_of(state: &crowdval_model::ProbabilisticAnswerSet, truth: &GroundTruth) -> f64 {
-    truth.precision(&state.instantiate())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

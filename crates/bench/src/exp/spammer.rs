@@ -2,7 +2,7 @@
 //! effort grows, for spammer-score thresholds τ_s ∈ {0.1, 0.2, 0.3}.
 
 use crate::report::{f3, Report};
-use crowdval_model::{ExpertValidation, ObjectId};
+use crowdval_model::{ExpertValidation, ObjectId, Visibility};
 use crowdval_sim::SyntheticConfig;
 use crowdval_spammer::{DetectorConfig, SpammerDetector};
 use rand::rngs::StdRng;
@@ -42,7 +42,7 @@ pub fn fig09_spammer_detection() -> Report {
                 }
 
                 let detector = SpammerDetector::new(DetectorConfig::with_spammer_threshold(tau));
-                let outcome = detector.detect(answers, &expert, &[0.5, 0.5]);
+                let outcome = detector.detect(answers, &expert, &[0.5, 0.5], Visibility::Recorded);
                 // Detection quality is judged on the spammer set proper
                 // (uniform + random spammers), matching the paper's setup.
                 let detected = &outcome.spammers;

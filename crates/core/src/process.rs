@@ -228,7 +228,8 @@ impl ValidationProcess {
         self.session
     }
 
-    /// The original (unfiltered) answer set.
+    /// The session's one answer set, with the excluded workers behind its
+    /// tombstone mask (see [`ValidationSession::answers`]).
     pub fn answers(&self) -> &AnswerSet {
         self.session.answers()
     }

@@ -22,7 +22,7 @@
 //! * **expert validation** — [`ValidationSession::select_next`] /
 //!   [`ValidationSession::integrate`], unchanged from the batch pipeline
 //!   (Algorithm 1 steps 1–4), except that spammer exclusion now flips
-//!   tombstone bits on the active answer view instead of copying the matrix.
+//!   tombstone bits instead of copying the matrix.
 //!
 //! The historical batch API survives as a thin facade:
 //! [`crate::process::ValidationProcess`] is "ingest everything at build time,
@@ -38,7 +38,7 @@ use crate::strategy::{SelectionStrategy, StrategyContext, StrategyKind, Validati
 use crowdval_aggregation::{Aggregator, ChurnTracker};
 use crowdval_model::{
     AnswerSet, DeterministicAssignment, ExpertValidation, GroundTruth, LabelId, ModelError,
-    ObjectId, ProbabilisticAnswerSet, Vote, WorkerId,
+    ObjectId, ProbabilisticAnswerSet, Visibility, Vote, WorkerId,
 };
 use crowdval_spammer::{
     BatchVote, DefenseTelemetry, FaultyWorkerHandler, SpammerDetector, TrustDecision, TrustReport,
@@ -240,13 +240,17 @@ impl ValidationSessionBuilder {
 /// `Sync`); wrap a session in external synchronization only if you accept
 /// serializing every call anyway. The invariant is pinned by compile-time
 /// assertions in this module's tests.
+///
+/// # One vote corpus
+///
+/// Every vote is stored once, in one [`AnswerSet`] whose tombstone mask
+/// hides excluded workers (§5.3) from aggregation, guidance and triage. The
+/// copy heuristic's prior-modal tally, the §5.3 detector and the per-voter
+/// trust update of a validation read unmasked rows: Algorithm 1 judges every
+/// worker, so an excluded one can be re-included.
 pub struct ValidationSession {
-    /// The full vote stream seen so far (never masked — the detector needs
-    /// every worker's answers against the expert validations).
+    /// Every vote seen so far; suspected faulty workers are masked (§5.3).
     answers: AnswerSet,
-    /// The aggregation view: same votes, with suspected faulty workers
-    /// hidden behind tombstone bits (§5.3).
-    active_answers: AnswerSet,
     aggregator: Box<dyn Aggregator>,
     strategy: Option<Box<dyn SelectionStrategy>>,
     detector: SpammerDetector,
@@ -327,7 +331,6 @@ impl ValidationSession {
         let mut trust = WorkerTrustLedger::new();
         trust.ensure_workers(answers.num_workers());
         Self {
-            active_answers: answers.clone(),
             answers,
             aggregator,
             strategy: Some(strategy),
@@ -398,9 +401,8 @@ impl ValidationSession {
 
         // Batch-size capacity hint: one arena/mirror reservation up front
         // instead of chunk-at-a-time growth while the loop below records
-        // `votes.len()` arrivals into both copies.
+        // `votes.len()` arrivals.
         self.answers.reserve_answers(votes.len());
-        self.active_answers.reserve_answers(votes.len());
 
         let mut touched: Vec<ObjectId> = Vec::with_capacity(votes.len());
         let mut batch_votes: Vec<BatchVote> = Vec::with_capacity(votes.len());
@@ -417,9 +419,6 @@ impl ValidationSession {
             self.answers
                 .record_arrival(vote)
                 .expect("labels were validated above");
-            self.active_answers
-                .record_arrival(vote)
-                .expect("labels were validated above");
             touched.push(vote.object);
         }
         touched.sort();
@@ -431,7 +430,6 @@ impl ValidationSession {
         // paged chunk chains (rows dirtied after this point simply fall
         // back to the chains until the next batch).
         self.answers.sync_compact_views();
-        self.active_answers.sync_compact_views();
 
         let num_objects = self.answers.num_objects();
         self.expert.ensure_domain(num_objects);
@@ -448,14 +446,14 @@ impl ValidationSession {
             let defense = self.trust.decide(&self.config.trust);
             if !defense.is_empty() {
                 self.handler.sync_excluded(&self.trust.excluded());
-                self.handler.apply_exclusions(&mut self.active_answers);
+                self.handler.apply_exclusions(&mut self.answers);
             }
             defense
         } else {
             TrustDecision::default()
         };
 
-        // Arrival-centric re-aggregation over the active (masked) view, warm
+        // Arrival-centric re-aggregation over the masked view, warm
         // from the pre-arrival state even across growth — unless the corpus
         // has *doubled* since the last cold initialization. Warm starts
         // inherit whatever the early, data-starved stream taught the model
@@ -466,7 +464,7 @@ impl ValidationSession {
         // re-anchors become exponentially rare as the stream grows — while
         // bounding hysteresis: the warm state always descends from a cold
         // init on at least half the current corpus.
-        let total_answers = self.active_answers.matrix().num_answers();
+        let total_answers = self.answers.matrix().num_answers();
         let (next, moved) = if total_answers >= 2 * self.answers_at_last_cold.max(1)
             || !defense.reinstated.is_empty()
         {
@@ -478,8 +476,7 @@ impl ValidationSession {
             // worker's votes were invisible to every anchor of the warm
             // trajectory, so the warm state cannot be trusted to absorb them.
             (
-                self.aggregator
-                    .conclude(&self.active_answers, &self.expert, None),
+                self.aggregator.conclude(&self.answers, &self.expert, None),
                 None,
             )
         } else if !defense.excluded.is_empty() {
@@ -489,12 +486,12 @@ impl ValidationSession {
             // the full view and drop the guidance cache globally.
             (
                 self.aggregator
-                    .conclude(&self.active_answers, &self.expert, Some(&self.current)),
+                    .conclude(&self.answers, &self.expert, Some(&self.current)),
                 None,
             )
         } else if self.config.guidance_cache {
             let outcome = self.aggregator.conclude_arrival_tracked(
-                &self.active_answers,
+                &self.answers,
                 &self.expert,
                 &self.current,
                 &touched,
@@ -505,7 +502,7 @@ impl ValidationSession {
             // No guidance cache to maintain: skip the frontier diff.
             (
                 self.aggregator.conclude_arrival(
-                    &self.active_answers,
+                    &self.answers,
                     &self.expert,
                     &self.current,
                     &touched,
@@ -554,13 +551,14 @@ impl ValidationSession {
     /// vote of the modal one). `None` when the object is new or unvoted.
     /// Ties resolve to the lowest label id, so the annotation — and with it
     /// every downstream trust decision — is deterministic in stream order.
+    /// Excluded workers' votes count too: siding with them is still copying.
     fn prior_modal(&self, object: ObjectId) -> Option<(LabelId, bool)> {
         if object.index() >= self.answers.num_objects() {
             return None;
         }
         let mut counts = vec![0u64; self.answers.num_labels()];
         let mut total = 0u64;
-        for (_, label) in self.answers.matrix().answers_for_object(object) {
+        for (_, label) in self.answers.matrix().recorded_answers_for_object(object) {
             counts[label.index()] += 1;
             total += 1;
         }
@@ -648,21 +646,16 @@ impl ValidationSession {
     // Accessors
     // -----------------------------------------------------------------------
 
-    /// The full (unfiltered) answer set ingested so far.
+    /// The session's one answer set, excluded workers masked: iteration and
+    /// `num_answers()` see visible votes, `num_recorded_answers()` all votes.
     pub fn answers(&self) -> &AnswerSet {
         &self.answers
     }
 
-    /// Measured heap bytes of the session's answer storage: paged arenas,
-    /// compact CSR mirrors and tombstone masks, for both the unmasked
-    /// corpus and the masked active view.
+    /// Measured heap bytes of the session's answer storage: the paged
+    /// arenas, compact CSR mirrors and tombstone mask of its one answer set.
     pub fn memory_bytes(&self) -> usize {
         self.answers.matrix().memory_footprint().total_bytes()
-            + self
-                .active_answers
-                .matrix()
-                .memory_footprint()
-                .total_bytes()
     }
 
     /// The expert validations collected so far.
@@ -792,7 +785,7 @@ impl ValidationSession {
             .expect("strategy always present outside select");
         let picked = {
             let ctx = StrategyContext {
-                answers: &self.active_answers,
+                answers: &self.answers,
                 expert: &self.expert,
                 current: &self.current,
                 aggregator: self.aggregator.as_ref(),
@@ -879,12 +872,9 @@ impl ValidationSession {
         let num_labels = self.answers.num_labels();
         let entropy_raw = self.shortlist.try_entropy(object).unwrap_or(f64::NAN);
         let max_entropy = (num_labels.max(2) as f64).ln();
-        let tally = self
-            .active_answers
-            .matrix()
-            .tally_object(object, num_labels);
+        let tally = self.answers.matrix().tally_object(object, num_labels);
         let mut voters: Vec<WorkerId> = self
-            .active_answers
+            .answers
             .matrix()
             .answers_for_object(object)
             .map(|(w, _)| w)
@@ -989,11 +979,14 @@ impl ValidationSession {
         let error_rate = 1.0 - self.current.assignment().prob(object, label);
 
         // Update the validation function first so detection sees the newest
-        // ground truth (Algorithm 1 lines 11–15).
+        // ground truth (Algorithm 1 lines 11–15), excluded workers included.
         self.expert.set(object, label);
-        let detection = self
-            .detector
-            .detect(&self.answers, &self.expert, self.current.priors());
+        let detection = self.detector.detect(
+            &self.answers,
+            &self.expert,
+            self.current.priors(),
+            Visibility::Recorded,
+        );
         let faulty_ratio = if self.answers.num_workers() == 0 {
             0.0
         } else {
@@ -1001,10 +994,11 @@ impl ValidationSession {
         };
         // Online defense: the validated object's answers feed each voter's
         // decayed approval rate, and the fresh detection verdicts fold into
-        // the trust ledger before any tombstone decision. Tracking is
-        // unconditional — it is cheap, aggregation-neutral, and keeps trust
-        // reports meaningful even when enforcement is off.
-        for (worker, answered) in self.answers.matrix().answers_for_object(object) {
+        // the trust ledger before any tombstone decision. Tracking covers
+        // excluded voters and is unconditional — it is cheap,
+        // aggregation-neutral, and keeps trust reports meaningful even when
+        // enforcement is off.
+        for (worker, answered) in self.answers.matrix().recorded_answers_for_object(object) {
             self.trust.record_validation(worker, answered == label);
         }
         self.trust.absorb_detection(&detection);
@@ -1017,13 +1011,11 @@ impl ValidationSession {
             defense = self.trust.decide(&self.config.trust);
             if !defense.is_empty() {
                 self.handler.sync_excluded(&self.trust.excluded());
-                self.handler.apply_exclusions(&mut self.active_answers);
+                self.handler.apply_exclusions(&mut self.answers);
             }
         } else if self.config.handle_faulty_workers && strategy.handle_spammers_now() {
             self.handler.apply(&detection);
-            // Tombstone flips on the shared active view — no matrix copy.
-            self.active_answers
-                .set_excluded_workers(&self.handler.excluded());
+            self.handler.apply_exclusions(&mut self.answers);
         }
         strategy.observe(&ValidationObservation {
             error_rate,
@@ -1091,15 +1083,15 @@ impl ValidationSession {
         Ok(())
     }
 
-    /// Warm full re-aggregation over the active view, diffing assignments
+    /// Warm full re-aggregation over the masked view, diffing assignments
     /// into the entropy cache. Returns the converged dirty frontier — the
     /// rows that moved beyond the guidance drift threshold (clamped up to
     /// the aggregator's own convergence tolerance) — or `None` when the
     /// aggregator cannot bound its drift.
     fn reaggregate(&mut self) -> Option<Vec<ObjectId>> {
-        let next =
-            self.aggregator
-                .conclude(&self.active_answers, &self.expert, Some(&self.current));
+        let next = self
+            .aggregator
+            .conclude(&self.answers, &self.expert, Some(&self.current));
         // The frontier diff only feeds the guidance cache — skip it (and
         // its allocation) entirely when the cache is disabled.
         let moved = if self.config.guidance_cache {
@@ -1121,18 +1113,16 @@ impl ValidationSession {
     }
 
     /// Cold re-anchor: a majority-vote-initialized full aggregation over the
-    /// active view, resetting the streaming doubling trigger. Used whenever
+    /// masked view, resetting the streaming doubling trigger. Used whenever
     /// the view changed in a way the warm trajectory cannot absorb — a
     /// reinstated worker's returning votes, or a manual tombstone override.
     fn reanchor_cold(&mut self) {
-        let next = self
-            .aggregator
-            .conclude(&self.active_answers, &self.expert, None);
+        let next = self.aggregator.conclude(&self.answers, &self.expert, None);
         self.shortlist
             .invalidate_changed(self.current.assignment(), next.assignment());
         self.track_churn(&next);
         self.current = next;
-        self.answers_at_last_cold = self.active_answers.matrix().num_answers();
+        self.answers_at_last_cold = self.answers.matrix().num_answers();
     }
 
     /// Folds one re-aggregation round into the churn tracker. The moved set
@@ -1194,7 +1184,7 @@ impl ValidationSession {
             set.retain(|&w| w != worker);
         }
         self.handler.sync_excluded(&set);
-        self.handler.apply_exclusions(&mut self.active_answers);
+        self.handler.apply_exclusions(&mut self.answers);
         self.reanchor_cold();
         self.refresh_guidance_cache(None, None);
         self.log_event(|| SessionEvent::SetWorkerExcluded { worker, excluded });
@@ -1230,7 +1220,7 @@ impl ValidationSession {
     /// hot path.
     pub fn scoring_context(&self) -> ScoringContext<'_> {
         ScoringContext {
-            answers: &self.active_answers,
+            answers: &self.answers,
             expert: &self.expert,
             current: &self.current,
             aggregator: self.aggregator.as_ref(),
@@ -1371,9 +1361,12 @@ impl ValidationSession {
             .ok_or(ModelError::SnapshotUnsupported {
                 component: "selection strategy",
             })?;
+        // Stored unmasked; restore re-applies the handler's exclusions.
+        let mut answers = self.answers.clone();
+        answers.set_excluded_workers(&[]);
         let snapshot = SessionSnapshot {
             format_version: crate::snapshot::SNAPSHOT_FORMAT_VERSION,
-            answers: self.answers.clone(),
+            answers,
             expert: self.expert.clone(),
             handler: self.handler.clone(),
             trust: self.trust.clone(),
@@ -1408,7 +1401,7 @@ impl ValidationSession {
                 ),
             });
         }
-        let answers = snapshot.answers;
+        let mut answers = snapshot.answers;
         if snapshot.current.num_objects() != answers.num_objects()
             || snapshot.current.num_workers() != answers.num_workers()
             || snapshot.current.num_labels() != answers.num_labels()
@@ -1487,16 +1480,13 @@ impl ValidationSession {
                 });
             }
         }
-        // The active view is derived state: full stream + tombstones.
-        let mut active_answers = answers.clone();
-        active_answers.set_excluded_workers(&snapshot.handler.excluded());
+        answers.set_excluded_workers(&snapshot.handler.excluded());
         let mut shortlist = EntropyShortlist::new();
         shortlist.ensure_len(answers.num_objects());
         let mut trust = snapshot.trust;
         trust.ensure_workers(answers.num_workers());
         Ok(ValidationSession {
             answers,
-            active_answers,
             aggregator: snapshot.aggregator.into_aggregator(),
             strategy: Some(snapshot.strategy.into_strategy()),
             detector: SpammerDetector::new(snapshot.detector),

@@ -9,11 +9,11 @@
 //! the configuration state of the aggregator and the selection strategy —
 //! RNG streams included, so even roulette-wheel strategies resume mid-draw.
 //!
-//! What is *not* stored is anything derivable: the masked active answer view
-//! is rebuilt from the vote stream plus the exclusion set, the entropy
-//! shortlist is rebuilt dirty and recomputes its cached values from the
-//! restored posterior (the cache is bitwise-exact with respect to the
-//! posterior, so recomputation cannot drift — see [`crate::shortlist`]),
+//! What is *not* stored is anything derivable: the answer set's tombstone
+//! mask is rebuilt from the exclusion set, the entropy shortlist is rebuilt
+//! dirty and recomputes its cached values from the restored posterior (the
+//! cache is bitwise-exact with respect to the posterior, so recomputation
+//! cannot drift — see [`crate::shortlist`]),
 //! and the cross-step guidance score cache is dropped outright and rebuilt
 //! lazily: a missing entry is always evaluated exactly, never estimated, so
 //! the restored session's first selection is a full re-score pass whose

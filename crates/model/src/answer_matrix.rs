@@ -33,6 +33,8 @@
 //! [`AnswerMatrix::answer`] and the answer counts all behave as if the
 //! excluded workers' votes were gone. Exclusion and re-inclusion are `O(1)`
 //! plus a row-length count update — no `O(answers)` copy per excluded worker.
+//! Readers that judge tombstoned workers too (the §5.3 detector, the trust
+//! ledger) read unmasked rows through the `recorded_answers_for_*` pair.
 
 use crate::csr::CompactAdjacency;
 use crate::error::ModelError;
@@ -363,6 +365,14 @@ impl VoteTally {
     }
 }
 
+/// Which votes a reader sees: `Visible` hides tombstoned workers (the
+/// aggregation view), `Recorded` shows every recorded vote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Visibility {
+    Visible,
+    Recorded,
+}
+
 /// Heap-memory breakdown of an [`AnswerMatrix`] — see
 /// [`AnswerMatrix::memory_footprint`]. All figures are capacities (bytes the
 /// allocator actually holds), not lengths.
@@ -613,6 +623,22 @@ impl AnswerMatrix {
         WorkerVotes { pairs }
     }
 
+    /// Every `(worker, label)` answer recorded for an object, tombstoned or not.
+    pub fn recorded_answers_for_object(
+        &self,
+        object: ObjectId,
+    ) -> impl Iterator<Item = (WorkerId, LabelId)> + Clone + '_ {
+        self.row_pairs_view(&self.compact_by_object, &self.by_object, object.index())
+            .map(|(id, label)| (WorkerId(id as usize), LabelId(label as usize)))
+    }
+
+    /// Every `(object, label)` answer recorded by a worker, tombstoned or not.
+    pub fn recorded_answers_for_worker(&self, worker: WorkerId) -> WorkerVotes<'_> {
+        WorkerVotes {
+            pairs: self.row_pairs_view(&self.compact_by_worker, &self.by_worker, worker.index()),
+        }
+    }
+
     // -----------------------------------------------------------------------
     // Compact CSR mirrors (million-scale sequential scans)
     // -----------------------------------------------------------------------
@@ -782,17 +808,6 @@ impl AnswerMatrix {
     pub fn clear_exclusions(&mut self) {
         self.excluded.fill(false);
         self.hidden_answers = 0;
-    }
-
-    /// Returns a copy of the matrix with every answer by `worker` hidden
-    /// behind the tombstone mask. Used when suspected faulty workers are
-    /// (temporarily) excluded (§5.3). The copy shares nothing with `self`,
-    /// but the exclusion itself is a mask flip, not an answer-by-answer
-    /// removal.
-    pub fn without_worker(&self, worker: WorkerId) -> AnswerMatrix {
-        let mut out = self.clone();
-        out.set_worker_excluded(worker, true);
-        out
     }
 }
 
@@ -1052,16 +1067,6 @@ mod tests {
     }
 
     #[test]
-    fn without_worker_removes_all_their_answers() {
-        let m = small();
-        let pruned = m.without_worker(WorkerId(1));
-        assert_eq!(pruned.num_answers(), 1);
-        assert_eq!(pruned.worker_answer_count(WorkerId(1)), 0);
-        // original untouched
-        assert_eq!(m.num_answers(), 3);
-    }
-
-    #[test]
     fn max_label_index_tracks_answers() {
         assert_eq!(AnswerMatrix::new(2, 2).max_label_index(), None);
         assert_eq!(small().max_label_index(), Some(1));
@@ -1127,6 +1132,31 @@ mod tests {
         assert_eq!(m.worker_answer_count(WorkerId(1)), 2);
         assert_eq!(m.answer(ObjectId(0), WorkerId(1)), Some(LabelId(0)));
         assert_eq!(m.num_excluded_workers(), 0);
+    }
+
+    #[test]
+    fn recorded_accessors_ignore_the_mask() {
+        let mut m = small();
+        m.sync_compact_views();
+        m.set_worker_excluded(WorkerId(1), true);
+        let all: Vec<_> = m.recorded_answers_for_object(ObjectId(0)).collect();
+        assert_eq!(
+            all,
+            vec![(WorkerId(0), LabelId(1)), (WorkerId(1), LabelId(0))]
+        );
+        let row: Vec<_> = m.recorded_answers_for_worker(WorkerId(1)).collect();
+        assert_eq!(
+            row,
+            vec![(ObjectId(0), LabelId(0)), (ObjectId(2), LabelId(1))]
+        );
+        // Stale rows come from the chains, in the same order.
+        m.set_answer(ObjectId(0), WorkerId(1), LabelId(1)).unwrap();
+        let all: Vec<_> = m.recorded_answers_for_object(ObjectId(0)).collect();
+        assert_eq!(
+            all,
+            vec![(WorkerId(0), LabelId(1)), (WorkerId(1), LabelId(1))]
+        );
+        assert_eq!(m.answers_for_object(ObjectId(0)).count(), 1);
     }
 
     #[test]

@@ -179,26 +179,10 @@ impl AnswerSet {
         (0..self.num_labels()).map(LabelId)
     }
 
-    /// Returns a copy of this answer set with every answer of the given
-    /// workers hidden behind the tombstone mask, used when suspected faulty
-    /// workers are excluded from aggregation (§5.3). One matrix copy total —
-    /// each exclusion is a mask flip, not an answer-by-answer removal.
-    pub fn excluding_workers(&self, excluded: &[WorkerId]) -> AnswerSet {
-        let mut matrix = self.matrix.clone();
-        for &w in excluded {
-            matrix.set_worker_excluded(w, true);
-        }
-        AnswerSet {
-            num_labels: self.num_labels,
-            label_names: self.label_names.clone(),
-            matrix,
-        }
-    }
-
     /// Replaces the set of tombstoned workers in place: workers in `excluded`
     /// are hidden from iteration, everyone else is visible. `O(workers)` mask
-    /// diff, no matrix copy — the streaming session uses this to track
-    /// detection outcomes without rebuilding its active view.
+    /// diff, no matrix copy — the validation session uses this to track
+    /// detection outcomes on its one corpus.
     pub fn set_excluded_workers(&mut self, excluded: &[WorkerId]) {
         for w in 0..self.num_workers() {
             let worker = WorkerId(w);
@@ -264,14 +248,5 @@ mod tests {
         let n = toy().with_label_names(vec!["neg", "pos"]).unwrap();
         assert_eq!(n.label_name(LabelId(1)), "pos");
         assert!(toy().with_label_names(vec!["only-one"]).is_err());
-    }
-
-    #[test]
-    fn excluding_workers_drops_their_answers_only() {
-        let n = toy();
-        let pruned = n.excluding_workers(&[WorkerId(0)]);
-        assert_eq!(pruned.matrix().num_answers(), 2);
-        assert_eq!(pruned.matrix().worker_answer_count(WorkerId(0)), 0);
-        assert_eq!(n.matrix().num_answers(), 4);
     }
 }

@@ -26,7 +26,9 @@ pub mod overlay;
 pub mod probabilistic;
 pub mod vote;
 
-pub use answer_matrix::{AnswerMatrix, MatrixMemoryFootprint, ObjectVotes, VoteTally, WorkerVotes};
+pub use answer_matrix::{
+    AnswerMatrix, MatrixMemoryFootprint, ObjectVotes, Visibility, VoteTally, WorkerVotes,
+};
 pub use answer_set::AnswerSet;
 pub use assignment::{AssignmentMatrix, DeterministicAssignment};
 pub use confusion::ConfusionMatrix;

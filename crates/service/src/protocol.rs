@@ -480,6 +480,7 @@ pub enum Response {
     /// Reply to [`Request::CloseTask`].
     TaskClosed {
         task: String,
+        /// Every vote the task recorded, excluded workers' included.
         votes: usize,
         validations: usize,
     },
@@ -589,8 +590,8 @@ pub struct ShardStats {
     /// contentious pool).
     pub objects_escalated: u64,
     /// Measured heap bytes of the answer storage across this shard's tasks
-    /// (paged arenas, compact CSR mirrors and tombstone masks, for both
-    /// the unmasked corpus and the masked active view).
+    /// (paged arenas, compact CSR mirrors and the tombstone mask of each
+    /// task's one answer set).
     pub memory_bytes: u64,
     /// Median request service time (handling only, queue wait excluded),
     /// in microseconds; 0 until the shard has served a request.

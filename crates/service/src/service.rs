@@ -686,7 +686,7 @@ impl ValidationService {
             })?;
         Ok(Response::TaskClosed {
             task: task.to_string(),
-            votes: state.session.answers().matrix().num_answers(),
+            votes: state.session.answers().matrix().num_recorded_answers(),
             validations: state.session.iterations(),
         })
     }

@@ -155,6 +155,18 @@ fn defended_task_reports_spammer_exclusion_on_the_wire() {
         }
         other => panic!("unexpected reply {other:?}"),
     }
+
+    // Closing counts every vote submitted, the tombstoned spammer's too.
+    let submitted: usize = batches_with_spammer(4242).iter().map(Vec::len).sum();
+    match send(
+        &mut service,
+        Request::CloseTask {
+            task: "guarded".into(),
+        },
+    ) {
+        Response::TaskClosed { votes, .. } => assert_eq!(votes, submitted),
+        other => panic!("unexpected reply {other:?}"),
+    }
 }
 
 #[test]

@@ -9,7 +9,7 @@
 
 use crate::score::spammer_score;
 use crate::sloppy::sloppy_error_rate;
-use crowdval_model::{AnswerSet, ConfusionMatrix, ExpertValidation, WorkerId};
+use crowdval_model::{AnswerSet, ConfusionMatrix, ExpertValidation, Visibility, WorkerId};
 use crowdval_numerics::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -142,17 +142,31 @@ impl SpammerDetector {
     /// Builds the validation-based confusion matrix of one worker: counts of
     /// (expert label, worker answer) over the validated objects the worker
     /// answered. Returns `None` when the worker answered fewer than
-    /// `min_validated_answers` validated objects.
+    /// `min_validated_answers` validated objects. Reads the visible votes.
     pub fn validation_confusion(
         &self,
         answers: &AnswerSet,
         expert: &ExpertValidation,
         worker: WorkerId,
     ) -> Option<ConfusionMatrix> {
+        self.confusion_in(answers, expert, worker, Visibility::Visible)
+    }
+
+    fn confusion_in(
+        &self,
+        answers: &AnswerSet,
+        expert: &ExpertValidation,
+        worker: WorkerId,
+        visibility: Visibility,
+    ) -> Option<ConfusionMatrix> {
         let m = answers.num_labels();
         let mut counts = Matrix::zeros(m, m);
         let mut observed = 0usize;
-        for (o, answered) in answers.matrix().answers_for_worker(worker) {
+        let votes = match visibility {
+            Visibility::Visible => answers.matrix().answers_for_worker(worker),
+            Visibility::Recorded => answers.matrix().recorded_answers_for_worker(worker),
+        };
+        for (o, answered) in votes {
             if let Some(truth) = expert.get(o) {
                 counts[(truth.index(), answered.index())] += 1.0;
                 observed += 1;
@@ -168,19 +182,22 @@ impl SpammerDetector {
 
     /// Runs detection over all workers. `priors` weights the error rate of
     /// the sloppy-worker check (pass the label priors of the current
-    /// probabilistic answer set, or uniform priors early on).
+    /// probabilistic answer set, or uniform priors early on). Algorithm 1
+    /// judges tombstoned workers too, so they can be re-included: pass
+    /// [`Visibility::Recorded`]; under `Visible` they have no votes.
     pub fn detect(
         &self,
         answers: &AnswerSet,
         expert: &ExpertValidation,
         priors: &[f64],
+        visibility: Visibility,
     ) -> DetectionOutcome {
         let mut spammers = Vec::new();
         let mut sloppy = Vec::new();
         let mut scores = Vec::with_capacity(answers.num_workers());
         let mut error_rates = Vec::with_capacity(answers.num_workers());
         for w in answers.workers() {
-            match self.validation_confusion(answers, expert, w) {
+            match self.confusion_in(answers, expert, w, visibility) {
                 Some(confusion) => {
                     let score = spammer_score(&confusion);
                     let err = sloppy_error_rate(&confusion, priors);
@@ -208,7 +225,7 @@ impl SpammerDetector {
 
     /// Number of faulty workers that would be detected if the expert asserted
     /// `label` for `object` — the `R(W | o = l)` term of the worker-driven
-    /// guidance strategy (Eq. 12).
+    /// guidance strategy (Eq. 12), over the visible votes guidance works on.
     pub fn expected_detections_with(
         &self,
         answers: &AnswerSet,
@@ -219,7 +236,8 @@ impl SpammerDetector {
     ) -> usize {
         let mut hypothetical = expert.clone();
         hypothetical.set(object, label);
-        self.detect(answers, &hypothetical, priors).num_faulty()
+        self.detect(answers, &hypothetical, priors, Visibility::Visible)
+            .num_faulty()
     }
 }
 
@@ -271,7 +289,7 @@ mod tests {
     fn crafted_workers_are_classified_correctly() {
         let (answers, expert) = crafted();
         let detector = SpammerDetector::default();
-        let outcome = detector.detect(&answers, &expert, &[0.5, 0.5]);
+        let outcome = detector.detect(&answers, &expert, &[0.5, 0.5], Visibility::Recorded);
         // Worker 1 (uniform spammer) and worker 2 (random-ish) are spammers.
         assert!(outcome.spammers.contains(&WorkerId(1)));
         assert!(outcome.spammers.contains(&WorkerId(2)));
@@ -284,9 +302,33 @@ mod tests {
     }
 
     #[test]
+    fn recorded_visibility_keeps_judging_tombstoned_workers() {
+        let (mut answers, expert) = crafted();
+        answers.set_excluded_workers(&[WorkerId(1)]);
+        let detector = SpammerDetector::default();
+        let all = detector.detect(&answers, &expert, &[0.5, 0.5], Visibility::Recorded);
+        assert!(all.spammers.contains(&WorkerId(1)));
+        let visible = detector.detect(&answers, &expert, &[0.5, 0.5], Visibility::Visible);
+        assert!(!visible.spammers.contains(&WorkerId(1)));
+        assert_eq!(visible.scores[1], None);
+        // Guidance scores the visible votes: the tombstoned spammer is not
+        // an expected detection.
+        let expert = expert.without(ObjectId(7));
+        let expected = detector.expected_detections_with(
+            &answers,
+            &expert,
+            &[0.5, 0.5],
+            ObjectId(7),
+            LabelId(1),
+        );
+        assert_eq!(expected, visible.num_faulty());
+    }
+
+    #[test]
     fn precision_and_recall_against_reference_sets() {
         let (answers, expert) = crafted();
-        let outcome = SpammerDetector::default().detect(&answers, &expert, &[0.5, 0.5]);
+        let outcome =
+            SpammerDetector::default().detect(&answers, &expert, &[0.5, 0.5], Visibility::Recorded);
         let truly_faulty = vec![WorkerId(1), WorkerId(2), WorkerId(3)];
         assert!((outcome.precision(&truly_faulty) - 1.0).abs() < 1e-12);
         assert!((outcome.recall(&truly_faulty) - 1.0).abs() < 1e-12);
@@ -353,7 +395,9 @@ mod tests {
             for o in 0..count {
                 e.set(ObjectId(o), truth.label(ObjectId(o)));
             }
-            detector.detect(answers, &e, &[0.5, 0.5]).recall(&spammers)
+            detector
+                .detect(answers, &e, &[0.5, 0.5], Visibility::Recorded)
+                .recall(&spammers)
         };
         let few = recall_at(5);
         let many = recall_at(40);
@@ -381,7 +425,12 @@ mod tests {
     fn expected_detections_with_hypothetical_label() {
         let (answers, expert) = crafted();
         let detector = SpammerDetector::default();
-        let baseline = detector.detect(&answers, &expert.without(ObjectId(7)), &[0.5, 0.5]);
+        let baseline = detector.detect(
+            &answers,
+            &expert.without(ObjectId(7)),
+            &[0.5, 0.5],
+            Visibility::Recorded,
+        );
         let with_hypothesis = detector.expected_detections_with(
             &answers,
             &expert.without(ObjectId(7)),

@@ -85,20 +85,6 @@ impl FaultyWorkerHandler {
         answers.set_excluded_workers(&self.excluded());
     }
 
-    /// Returns a **fresh copy** of the answer set with the currently
-    /// excluded workers tombstoned.
-    #[deprecated(
-        since = "0.1.0",
-        note = "rebuilds a full AnswerSet per call; flip tombstones in place \
-                with `apply_exclusions` instead"
-    )]
-    pub fn filtered_answers(&self, answers: &AnswerSet) -> AnswerSet {
-        if self.excluded.is_empty() {
-            return answers.clone();
-        }
-        answers.excluding_workers(&self.excluded())
-    }
-
     /// Clears every exclusion (used by ablation experiments that disable the
     /// worker-driven handling).
     pub fn reset(&mut self) {
@@ -167,32 +153,6 @@ mod tests {
         h.reset();
         h.apply_exclusions(&mut answers);
         assert_eq!(answers.matrix().num_answers(), 6);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_filtered_answers_matches_the_mask_path() {
-        let mut answers = AnswerSet::new(2, 3, 2);
-        for w in 0..3 {
-            answers
-                .record_answer(ObjectId(0), WorkerId(w), LabelId(0))
-                .unwrap();
-            answers
-                .record_answer(ObjectId(1), WorkerId(w), LabelId(1))
-                .unwrap();
-        }
-        let mut h = FaultyWorkerHandler::new();
-        h.apply(&outcome(&[1], &[]));
-        let copied = h.filtered_answers(&answers);
-        let mut masked = answers.clone();
-        h.apply_exclusions(&mut masked);
-        assert_eq!(copied.matrix().num_answers(), masked.matrix().num_answers());
-        for w in 0..3 {
-            assert_eq!(
-                copied.matrix().worker_answer_count(WorkerId(w)),
-                masked.matrix().worker_answer_count(WorkerId(w))
-            );
-        }
     }
 
     #[test]

@@ -59,6 +59,7 @@ fn main() {
                 &answers,
                 process.expert(),
                 process.current().priors(),
+                Visibility::Recorded,
             );
             println!(
                 "  {:>4}% | {:>16} | {:>19.2} | {:>16.2} | {:>15.3}",

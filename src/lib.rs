@@ -86,7 +86,8 @@ pub mod prelude {
     pub use crowdval_model::{
         AnswerMatrix, AnswerSet, AssignmentMatrix, ConfusionMatrix, Dataset,
         DeterministicAssignment, ExpertValidation, GroundTruth, HypothesisOverlay, IdInterner,
-        LabelId, ModelError, ObjectId, ProbabilisticAnswerSet, ValidationView, Vote, WorkerId,
+        LabelId, ModelError, ObjectId, ProbabilisticAnswerSet, ValidationView, Visibility, Vote,
+        WorkerId,
     };
     pub use crowdval_sim::{
         all_replicas, replica, AdversarialConfig, AdversarialScenario, AttackKind, PopulationMix,

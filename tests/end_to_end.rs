@@ -159,6 +159,7 @@ fn spammer_heavy_crowds_are_cleaned_up_by_worker_driven_guidance() {
         data.dataset.answers(),
         process.expert(),
         process.current().priors(),
+        Visibility::Recorded,
     );
     let recall = detection.recall(&spammers);
     assert!(
