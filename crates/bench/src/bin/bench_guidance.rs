@@ -1,14 +1,11 @@
 //! Guidance hot-path benchmark: measures the warm hypothesis fan-out of a
-//! validation step in all three evaluation paths and records the result as
+//! validation step in both evaluation paths and records the result as
 //! `BENCH_guidance.json`, so the delta-propagation speedup is a tracked
 //! number rather than a claim.
 //!
 //! Paths compared (single-threaded on purpose — the win must be algorithmic,
 //! not core-count):
 //!
-//! * `legacy`  — `ExpertValidation::clone()` + [`Aggregator::conclude_warm`]
-//!   per hypothesis: the pre-workspace semantics (full-corpus EM, fresh
-//!   allocations every iteration).
 //! * `exact`   — [`Aggregator::conclude_hypothesis`] in
 //!   [`ScoringMode::Exact`]: borrowed overlay + workspace buffers + cached
 //!   log tables, still full-corpus EM.
@@ -23,39 +20,13 @@
 //! comparison (the CI `bench-smoke` gate).
 
 use crowdval_aggregation::{Aggregator, IncrementalEm, ScoringMode};
+use crowdval_bench::harness::{host_cpus, BenchArgs};
 use crowdval_model::{
     AnswerSet, ExpertValidation, HypothesisOverlay, LabelId, ObjectId, ProbabilisticAnswerSet,
 };
 use crowdval_sim::SyntheticConfig;
 use serde::Serialize;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-
-/// System allocator wrapper counting every allocation/reallocation, so the
-/// report can state how many the workspace path avoids.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
 
 #[derive(Debug, Serialize)]
 struct PathReport {
@@ -65,28 +36,22 @@ struct PathReport {
     wall_seconds: f64,
     /// Total EM iterations spent (scoped delta rounds count as iterations).
     em_iterations: usize,
-    /// Heap allocations performed during the measured runs.
-    allocations: usize,
 }
 
 #[derive(Debug, Serialize)]
 struct BenchReport {
     scenario: String,
+    host_cpus: usize,
     num_objects: usize,
     num_workers: usize,
     num_labels: usize,
     validated: usize,
     hypotheses_per_rep: usize,
     reps: usize,
-    legacy: PathReport,
     exact: PathReport,
     delta: PathReport,
-    /// Headline number: delta vs exact throughput (both on the workspace).
+    /// Headline number: delta vs exact throughput.
     speedup_delta_vs_exact: f64,
-    /// Delta vs the pre-workspace clone-per-hypothesis path.
-    speedup_delta_vs_legacy: f64,
-    /// Allocations the workspace path avoids relative to the legacy path.
-    allocations_saved_vs_legacy: usize,
 }
 
 struct Fixture {
@@ -138,11 +103,10 @@ fn measure(
     mut eval: impl FnMut(&Fixture, ObjectId, LabelId) -> usize,
 ) -> PathReport {
     // One untimed warm-up pass so thread-local workspaces are sized before
-    // the allocation counter starts.
+    // the clock starts.
     let (o, l) = f.hypotheses[0];
     eval(f, o, l);
 
-    let alloc_before = ALLOCATIONS.load(Ordering::Relaxed);
     let mut em_iterations = 0usize;
     let start = Instant::now();
     for _ in 0..reps {
@@ -151,35 +115,18 @@ fn measure(
         }
     }
     let wall = start.elapsed().as_secs_f64();
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - alloc_before;
     PathReport {
         candidates_per_sec: (reps * f.hypotheses.len()) as f64 / wall.max(1e-12),
         wall_seconds: wall,
         em_iterations,
-        allocations,
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_guidance.json".to_string());
-
-    let (num_candidates, reps) = if quick { (24, 2) } else { (64, 5) };
+    let args = BenchArgs::parse("BENCH_guidance.json");
+    let (num_candidates, reps) = if args.quick { (24, 2) } else { (64, 5) };
     let f = fixture(num_candidates, 70_000);
 
-    let legacy = measure(&f, reps, |f, object, label| {
-        let mut hypothetical = f.expert.clone();
-        hypothetical.set(object, label);
-        f.aggregator
-            .conclude_warm(&f.answers, &hypothetical, &f.current)
-            .em_iterations()
-    });
     let exact = measure(&f, reps, |f, object, label| {
         let hypothesis = HypothesisOverlay::new(&f.expert, object, label);
         f.aggregator
@@ -196,8 +143,9 @@ fn main() {
     let report = BenchReport {
         scenario: format!(
             "paper-default mix, seed 70000, single-threaded{}",
-            if quick { " (quick)" } else { "" }
+            if args.quick { " (quick)" } else { "" }
         ),
+        host_cpus: host_cpus(),
         num_objects: f.answers.num_objects(),
         num_workers: f.answers.num_workers(),
         num_labels: f.answers.num_labels(),
@@ -205,47 +153,28 @@ fn main() {
         hypotheses_per_rep: f.hypotheses.len(),
         reps,
         speedup_delta_vs_exact: delta.candidates_per_sec / exact.candidates_per_sec.max(1e-12),
-        speedup_delta_vs_legacy: delta.candidates_per_sec / legacy.candidates_per_sec.max(1e-12),
-        allocations_saved_vs_legacy: legacy.allocations.saturating_sub(delta.allocations),
-        legacy,
         exact,
         delta,
     };
 
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out_path, &json).expect("write BENCH_guidance.json");
-    println!("{json}");
+    args.write_report(&report);
     println!(
-        "\nlegacy {:.1}/s | exact {:.1}/s | delta {:.1}/s  (delta vs exact {:.2}x, vs legacy {:.2}x) -> {}",
-        report.legacy.candidates_per_sec,
+        "\nexact {:.1}/s | delta {:.1}/s  (delta vs exact {:.2}x) -> {}",
         report.exact.candidates_per_sec,
         report.delta.candidates_per_sec,
         report.speedup_delta_vs_exact,
-        report.speedup_delta_vs_legacy,
-        out_path
+        args.out
     );
 
-    if check {
-        // Two-part gate: the EM-iteration comparison is deterministic (no
-        // wall-clock noise on a shared CI runner), the throughput comparison
-        // keeps a 20 % noise margin so only a real regression trips it.
-        let mut failed = false;
-        if report.delta.em_iterations > report.exact.em_iterations {
-            eprintln!(
-                "FAIL: delta path spends more EM iterations than exact ({} > {})",
-                report.delta.em_iterations, report.exact.em_iterations
-            );
-            failed = true;
-        }
-        if report.speedup_delta_vs_exact < 0.8 {
-            eprintln!(
-                "FAIL: delta path is slower than exact beyond the noise margin ({:.2}x < 0.8x)",
-                report.speedup_delta_vs_exact
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-    }
+    // Two-part gate: the EM-iteration comparison is deterministic (no
+    // wall-clock noise on a shared CI runner), the throughput comparison
+    // keeps a 20 % noise margin so only a real regression trips it.
+    let mut gates = args.gates();
+    gates.at_most(
+        "delta-path EM iterations",
+        report.delta.em_iterations,
+        report.exact.em_iterations,
+    );
+    gates.at_least("delta vs exact speedup", report.speedup_delta_vs_exact, 0.8);
+    gates.finish();
 }

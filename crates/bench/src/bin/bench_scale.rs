@@ -4,7 +4,7 @@
 //! `BENCH_scale.json`, so "the engine holds up at a million objects" is a
 //! tracked number rather than a claim.
 //!
-//! Four measurements:
+//! Five measurements:
 //!
 //! * **Ingest** — streaming `record_arrival` throughput (votes/sec, with a
 //!   steady-state window over the second half of the stream) and the
@@ -15,7 +15,10 @@
 //!   in a 2×2 grid: paged chains vs compact CSR rows, serial vs parallel
 //!   (`set_em_threads(0)` = auto; on a one-core runner the parallel cell
 //!   degenerates to serial, which is why the `--check` gate only asks for
-//!   ≥ 0.9x there).
+//!   ≥ 0.9x there). The paged cells walk a second corpus built from the
+//!   same votes with the CSR mirrors off, and the four cells are timed in
+//!   rotation, rep by rep, so host drift during the grid hits every cell
+//!   alike instead of whichever cell ran while it lasted.
 //! * **Snapshot stall** — p99 wall time of a full [`ValidationSession`]
 //!   snapshot (O(corpus) clone) vs a delta snapshot (O(events) since the
 //!   last full-snapshot anchor), each sampled right after a small re-vote
@@ -25,6 +28,13 @@
 //! * **Session memory** — [`ValidationSession::memory_bytes`] of the fully
 //!   grown session, the per-shard gauge `ShardStats.memory_bytes` reports,
 //!   against the CSR-mirrored matrix footprint of the same corpus.
+//! * **Session ingest** — how fast a [`ValidationSession`] absorbs an
+//!   arriving paper-default vote stream, against re-running the cold
+//!   aggregation over everything seen so far on every batch; and the cost
+//!   of one 250-vote batch on a large corpus against one on a corpus a
+//!   tenth its size (report-only: the arrival-EM work gates it once it
+//!   lands). Single-threaded on purpose — the win must be algorithmic,
+//!   not core-count.
 //!
 //! Usage: `bench_scale [--quick] [--check] [--out <path>]`
 //!
@@ -32,16 +42,23 @@
 //! parallel gates, so the blocked kernels genuinely engage); `--check`
 //! exits non-zero when the CSR E-step speedup drops below 1.3x, the
 //! parallel arm falls below 0.9x serial, a delta snapshot stalls as long as
-//! a full one, or the session holds more than 1.25x the CSR-mirrored
-//! matrix footprint (a second copy of the corpus would double it) — the CI
-//! `scale-smoke` gate.
+//! a full one, the session holds more than 1.25x the CSR-mirrored matrix
+//! footprint (a second copy of the corpus would double it), incremental
+//! session ingest spends more EM iterations than the rebuild, or its
+//! steady-state throughput falls below 0.8x the rebuild's.
 
 use crowdval_aggregation::em::expectation_step;
-use crowdval_aggregation::{em_threads, set_em_threads, EmConfig, IncrementalEm};
-use crowdval_core::{ProcessConfig, RandomSelection, ValidationSessionBuilder};
+use crowdval_aggregation::{em_threads, set_em_threads, Aggregator, EmConfig, IncrementalEm};
+use crowdval_bench::harness::{host_cpus, BenchArgs};
+use crowdval_core::{
+    HybridStrategy, ProcessConfig, RandomSelection, ScoringEngine, TriageConfig, UncertaintyDriven,
+    ValidationSessionBuilder,
+};
 use crowdval_model::{
     AnswerSet, ConfusionMatrix, ExpertValidation, LabelId, ObjectId, Vote, WorkerId,
 };
+use crowdval_sim::{StreamingConfig, SyntheticConfig};
+use crowdval_spammer::TrustConfig;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -117,10 +134,59 @@ struct EStepCell {
     reps: usize,
 }
 
+/// One path of the session-ingest comparison.
+#[derive(Debug, Serialize)]
+struct IngestPath {
+    votes_per_sec: f64,
+    votes_per_sec_steady: f64,
+    wall_seconds: f64,
+    /// Total EM iterations spent integrating the stream.
+    em_iterations: usize,
+}
+
+/// Arrival batches on one corpus size, the session configured like a
+/// production task (hybrid guidance, online defense, WAL, triage).
+#[derive(Debug, Serialize)]
+struct BatchCost {
+    corpus_votes: usize,
+    /// The one bulk ingest that built the corpus.
+    build_seconds: f64,
+    build_em_iterations: usize,
+    /// Mean over the timed batches.
+    ms_per_batch: f64,
+    em_iterations_per_batch: f64,
+}
+
+#[derive(Debug, Serialize)]
+struct SessionIngestArm {
+    scenario: String,
+    total_votes: usize,
+    batch_size: usize,
+    final_objects: usize,
+    final_workers: usize,
+    /// `ValidationSession::ingest`: the matrix grows in place, the delta
+    /// path's dirty set is seeded from the touched objects, and only the
+    /// moved entropy-shortlist entries are invalidated.
+    incremental: IngestPath,
+    /// Append the batch to an answer set and re-run the full cold
+    /// aggregation (majority-vote-initialized EM) over everything so far.
+    rebuild: IngestPath,
+    /// Incremental vs rebuild throughput at steady state (gated at 0.8x).
+    speedup_steady_state: f64,
+    /// Entropy-shortlist entries the last arrival batch invalidated (out of
+    /// `final_objects`) — how local the update stayed.
+    last_batch_invalidated_entries: usize,
+    /// A 250-vote batch on a corpus a tenth the size of `batch_cost_large`.
+    batch_cost_small: BatchCost,
+    batch_cost_large: BatchCost,
+    /// `batch_cost_large.ms_per_batch / batch_cost_small.ms_per_batch`.
+    batch_ms_ratio: f64,
+    batch_em_iterations_ratio: f64,
+}
+
 #[derive(Debug, Serialize)]
 struct BenchReport {
     scenario: String,
-    /// CPUs available to the process (`std::thread::available_parallelism`).
     host_cpus: usize,
     num_objects: usize,
     num_workers: usize,
@@ -152,16 +218,16 @@ struct BenchReport {
     /// `session_memory_bytes` over the `ingest_csr` footprint (paged +
     /// compact + mask bytes): about 1 when the session stores one copy.
     session_memory_over_csr: f64,
+    /// Nearest-rank p99: the slowest sample below 100 samples.
     snapshot_full_p99_ms: f64,
-    snapshot_full_max_ms: f64,
     snapshot_delta_p99_ms: f64,
-    snapshot_delta_max_ms: f64,
     /// Headline number: full-snapshot p99 stall over delta-snapshot p99.
     snapshot_stall_ratio_p99: f64,
     /// Events in the last (largest) delta of the sampling cadence.
     last_delta_events: usize,
     full_snapshot_samples: usize,
     delta_snapshot_samples: usize,
+    session_ingest: SessionIngestArm,
 }
 
 /// Streams `votes` into a fresh answer set in `batches` batches with a
@@ -201,32 +267,41 @@ fn ingest_arm(votes: &[Vote], num_labels: usize, batches: usize, compact: bool) 
     }
 }
 
-/// Times `reps` expectation steps over the corpus (one unmeasured warm-up
-/// call first, so thread-local workspace buffers are allocated) and returns
-/// ns per vote of the *fastest* rep — the min is the standard noise-robust
-/// estimator on a shared runner, where any slowdown is interference, not
-/// the kernel.
-fn e_step_cell(
-    answers: &AnswerSet,
+/// Times the 2×2 E-step grid — (`csr`, `paged`) × (serial, parallel) — and
+/// returns its cells in that order. One unmeasured warm-up call per cell
+/// first (thread-local workspace buffers get allocated), then `reps`
+/// rounds that each time every cell once; a cell reports ns per vote of its
+/// *fastest* rep — the min is the standard noise-robust estimator on a
+/// shared runner, where any slowdown is interference, not the kernel.
+fn e_step_grid(
+    csr: &AnswerSet,
+    paged: &AnswerSet,
     expert: &ExpertValidation,
     confusions: &[ConfusionMatrix],
     priors: &[f64],
     reps: usize,
-) -> EStepCell {
-    let votes = answers.matrix().num_answers();
-    let _ = expectation_step(answers, expert, confusions, priors);
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let _ = expectation_step(answers, expert, confusions, priors);
-        best = best.min(start.elapsed().as_secs_f64());
+) -> [EStepCell; 4] {
+    // `set_em_threads(0)` restores the automatic thread count.
+    let cells = [(csr, 1), (csr, 0), (paged, 1), (paged, 0)];
+    let mut best = [f64::INFINITY; 4];
+    for round in 0..=reps {
+        for (i, &(answers, threads)) in cells.iter().enumerate() {
+            set_em_threads(threads);
+            let start = Instant::now();
+            let _ = expectation_step(answers, expert, confusions, priors);
+            if round > 0 {
+                best[i] = best[i].min(start.elapsed().as_secs_f64());
+            }
+        }
     }
-    let ns_per_vote = best * 1e9 / votes.max(1) as f64;
-    EStepCell {
-        ns_per_vote,
-        votes_per_sec: votes as f64 / best.max(1e-12),
+    // The session arms after the grid run single-threaded.
+    set_em_threads(1);
+    let votes = csr.matrix().num_answers();
+    best.map(|wall| EStepCell {
+        ns_per_vote: wall * 1e9 / votes.max(1) as f64,
+        votes_per_sec: votes as f64 / wall.max(1e-12),
         reps,
-    }
+    })
 }
 
 /// p99 of a sample set in milliseconds (nearest-rank; the max for fewer
@@ -238,19 +313,205 @@ fn p99_ms(samples: &[f64]) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1] * 1e3
 }
 
-fn max_ms(samples: &[f64]) -> f64 {
-    samples.iter().fold(0.0f64, |a, &b| a.max(b)) * 1e3
+/// Per-batch walls into whole-stream and steady-state (second half)
+/// throughput.
+fn ingest_path(batch_walls: &[f64], batch_votes: &[usize], em_iterations: usize) -> IngestPath {
+    let wall: f64 = batch_walls.iter().sum();
+    let votes: usize = batch_votes.iter().sum();
+    let steady_from = batch_walls.len() / 2;
+    let steady_wall: f64 = batch_walls[steady_from..].iter().sum();
+    let steady_votes: usize = batch_votes[steady_from..].iter().sum();
+    IngestPath {
+        votes_per_sec: votes as f64 / wall.max(1e-12),
+        votes_per_sec_steady: steady_votes as f64 / steady_wall.max(1e-12),
+        wall_seconds: wall,
+        em_iterations,
+    }
+}
+
+/// Streams the paper-default crowd into a session batch by batch, and
+/// into a rebuild-from-scratch aggregation, then prices arrival batches at
+/// two corpus sizes.
+fn session_ingest(quick: bool) -> SessionIngestArm {
+    let (num_objects, num_workers, batch_size) = if quick { (60, 20, 60) } else { (150, 32, 100) };
+    let stream_cfg = StreamingConfig {
+        base: SyntheticConfig {
+            num_objects,
+            num_workers,
+            ..SyntheticConfig::paper_default(90_000)
+        },
+        // 0.3 (not 0.25) so the session's doubling re-anchor fires at 60 %
+        // of the stream — before the steady-state window — instead of on the
+        // very last batch (2^k x 0.25 hits 1.0 exactly).
+        initial_fraction: 0.3,
+        batch_size,
+        late_object_fraction: 0.3,
+        late_worker_fraction: 0.25,
+    };
+    let scenario = stream_cfg.generate();
+    let truth = &scenario.truth;
+
+    // Two early validations anchor the label orientation on both paths (the
+    // delta path engages its scoped rounds from the second anchor on, so
+    // the anchors must be two *distinct* objects).
+    let mut anchor_objects: Vec<ObjectId> = Vec::new();
+    for vote in &scenario.initial {
+        if !anchor_objects.contains(&vote.object) {
+            anchor_objects.push(vote.object);
+        }
+        if anchor_objects.len() == 2 {
+            break;
+        }
+    }
+    assert_eq!(anchor_objects.len(), 2, "stream too small to anchor");
+
+    let mut session = ValidationSessionBuilder::empty(scenario.num_labels)
+        .strategy(Box::new(UncertaintyDriven::with_engine(
+            ScoringEngine::with_shortlist(16),
+        )))
+        .config(ProcessConfig::default())
+        .build();
+    session
+        .ingest(&scenario.initial)
+        .expect("initial snapshot ingests");
+    for &o in &anchor_objects {
+        session
+            .integrate(o, truth.label(o))
+            .expect("truth labels are in range");
+    }
+    let mut inc_walls = Vec::new();
+    let mut batch_votes = Vec::new();
+    let mut inc_iterations = 0usize;
+    let mut last_invalidated = 0usize;
+    for batch in &scenario.batches {
+        let start = Instant::now();
+        let update = session.ingest(batch).expect("stream batches ingest");
+        inc_walls.push(start.elapsed().as_secs_f64());
+        batch_votes.push(batch.len());
+        inc_iterations += update.em_iterations;
+        last_invalidated = update.invalidated_entries;
+    }
+    let incremental = ingest_path(&inc_walls, &batch_votes, inc_iterations);
+
+    let aggregator = IncrementalEm::default();
+    let mut answers = AnswerSet::new(0, 0, scenario.num_labels);
+    for &vote in &scenario.initial {
+        answers
+            .record_arrival(vote)
+            .expect("initial votes are valid");
+    }
+    let mut expert = ExpertValidation::empty(answers.num_objects());
+    for &o in &anchor_objects {
+        expert.set(o, truth.label(o));
+    }
+    let mut reb_walls = Vec::new();
+    let mut reb_iterations = 0usize;
+    for batch in &scenario.batches {
+        let start = Instant::now();
+        for &vote in batch {
+            answers
+                .record_arrival(vote)
+                .expect("stream votes are valid");
+        }
+        expert.ensure_domain(answers.num_objects());
+        let state = aggregator.conclude(&answers, &expert, None);
+        reb_walls.push(start.elapsed().as_secs_f64());
+        reb_iterations += state.em_iterations();
+    }
+    let rebuild = ingest_path(&reb_walls, &batch_votes, reb_iterations);
+
+    let (small, large) = if quick {
+        (2_500, 25_000)
+    } else {
+        (25_000, 250_000)
+    };
+    let batch_cost_small = batch_cost(small);
+    let batch_cost_large = batch_cost(large);
+    SessionIngestArm {
+        scenario: format!(
+            "paper-default stream, seed 90000; batch cost: bulk-readwrite-shaped crowd, \
+             seed 93000, {BATCH_COST_BATCHES} batches of {BATCH_COST_VOTES} votes{}",
+            if quick { " (quick)" } else { "" }
+        ),
+        total_votes: scenario.total_votes(),
+        batch_size,
+        final_objects: session.answers().num_objects(),
+        final_workers: session.answers().num_workers(),
+        speedup_steady_state: incremental.votes_per_sec_steady
+            / rebuild.votes_per_sec_steady.max(1e-12),
+        last_batch_invalidated_entries: last_invalidated,
+        incremental,
+        rebuild,
+        batch_ms_ratio: batch_cost_large.ms_per_batch / batch_cost_small.ms_per_batch.max(1e-12),
+        batch_em_iterations_ratio: batch_cost_large.em_iterations_per_batch
+            / batch_cost_small.em_iterations_per_batch.max(1e-12),
+        batch_cost_small,
+        batch_cost_large,
+    }
+}
+
+/// Votes per timed arrival batch of [`batch_cost`] (servebench's
+/// bulk-readwrite write size).
+const BATCH_COST_VOTES: usize = 250;
+/// Arrival batches [`batch_cost`] times after the bulk build.
+const BATCH_COST_BATCHES: usize = 8;
+
+/// Builds a `corpus_votes`-vote corpus shaped like servebench's
+/// bulk-readwrite tenants (5 answers per object, 50 per worker, reliability
+/// 0.8) with one bulk ingest into a session configured like its tasks, then
+/// times [`BATCH_COST_BATCHES`] more arrival batches.
+fn batch_cost(corpus_votes: usize) -> BatchCost {
+    let total = corpus_votes + BATCH_COST_BATCHES * BATCH_COST_VOTES;
+    let mut base = SyntheticConfig::paper_default(93_000);
+    base.num_objects = total / 5;
+    base.num_workers = total / 50;
+    base.answers_per_object = Some(5);
+    base.reliability = 0.8;
+    let stream = StreamingConfig {
+        base,
+        initial_fraction: 1.0,
+        ..StreamingConfig::paper_default(0)
+    }
+    .generate();
+    let (bulk, arrivals) = stream.initial.split_at(corpus_votes);
+
+    let mut session = ValidationSessionBuilder::empty(stream.num_labels)
+        .strategy(Box::new(HybridStrategy::new(0)))
+        .config(ProcessConfig {
+            trust: TrustConfig::streaming_default(),
+            triage: TriageConfig::calibrated(),
+            ..ProcessConfig::default()
+        })
+        .build();
+    session.enable_delta_log();
+    let start = Instant::now();
+    let build = session.ingest(bulk).expect("corpus ingests");
+    let build_seconds = start.elapsed().as_secs_f64();
+
+    let mut wall = 0.0;
+    let mut em_iterations = 0usize;
+    let batches = arrivals.chunks(BATCH_COST_VOTES);
+    let timed = batches.len();
+    for batch in batches {
+        let start = Instant::now();
+        em_iterations += session
+            .ingest(batch)
+            .expect("arrivals ingest")
+            .em_iterations;
+        wall += start.elapsed().as_secs_f64();
+    }
+    BatchCost {
+        corpus_votes: bulk.len(),
+        build_seconds,
+        build_em_iterations: build.em_iterations,
+        ms_per_batch: wall * 1e3 / timed.max(1) as f64,
+        em_iterations_per_batch: em_iterations as f64 / timed.max(1) as f64,
+    }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_scale.json".to_string());
+    let args = BenchArgs::parse("BENCH_scale.json");
+    let quick = args.quick;
 
     // Quick tier sits just above both parallel gates (PAR_MIN_OBJECTS /
     // PAR_MIN_WORKERS), so even the CI smoke run exercises the blocked
@@ -279,35 +540,37 @@ fn main() {
     let ingest_csr = ingest_arm(&votes, m, batches, true);
 
     // -------------------------------------------------------------------
-    // E-step grid over one shared corpus. CSR cells run first (the corpus
-    // is built with live mirrors); the paged cells then disable the
-    // mirrors so the kernels walk the chains.
+    // E-step grid over two corpora of the same votes: one with live CSR
+    // mirrors, one whose kernels walk the paged chains.
     // -------------------------------------------------------------------
-    let mut corpus = AnswerSet::new(0, 0, m);
-    corpus.reserve_answers(total_votes);
-    for &vote in &votes {
-        corpus.record_arrival(vote).expect("labels are in range");
-    }
-    corpus.sync_compact_views();
+    let corpus = |compact: bool| {
+        let mut answers = AnswerSet::new(0, 0, m);
+        answers.set_compact_enabled(compact);
+        answers.reserve_answers(total_votes);
+        for &vote in &votes {
+            answers.record_arrival(vote).expect("labels are in range");
+        }
+        answers.sync_compact_views();
+        answers
+    };
+    let (csr_corpus, paged_corpus) = (corpus(true), corpus(false));
     let expert = ExpertValidation::empty(n);
     let confusions = vec![ConfusionMatrix::diagonal(m, 0.7); k];
     let priors = vec![1.0 / m as f64; m];
 
-    eprintln!("e-step grid: csr ...");
-    set_em_threads(1);
-    let e_step_csr_serial = e_step_cell(&corpus, &expert, &confusions, &priors, reps);
+    eprintln!("e-step grid ...");
     set_em_threads(0);
     let em_threads_parallel = em_threads();
-    let e_step_csr_parallel = e_step_cell(&corpus, &expert, &confusions, &priors, reps);
-
-    eprintln!("e-step grid: paged ...");
-    corpus.set_compact_enabled(false);
-    set_em_threads(1);
-    let e_step_paged_serial = e_step_cell(&corpus, &expert, &confusions, &priors, reps);
-    set_em_threads(0);
-    let e_step_paged_parallel = e_step_cell(&corpus, &expert, &confusions, &priors, reps);
-    set_em_threads(1);
-    drop(corpus);
+    let [e_step_csr_serial, e_step_csr_parallel, e_step_paged_serial, e_step_paged_parallel] =
+        e_step_grid(
+            &csr_corpus,
+            &paged_corpus,
+            &expert,
+            &confusions,
+            &priors,
+            reps,
+        );
+    drop((csr_corpus, paged_corpus));
 
     // -------------------------------------------------------------------
     // Snapshot stall: a grown session, small re-vote batches, full vs
@@ -369,6 +632,13 @@ fn main() {
         last_delta_events = delta.events.len();
     }
 
+    let session_memory_bytes = session.memory_bytes();
+    let votes_ingested = session.votes_ingested();
+    drop(session);
+
+    eprintln!("session ingest ...");
+    let session_ingest = session_ingest(quick);
+
     let snapshot_full_p99_ms = p99_ms(&full_walls);
     let snapshot_delta_p99_ms = p99_ms(&delta_walls);
     let csr_matrix_bytes =
@@ -378,7 +648,7 @@ fn main() {
             "synthetic million-scale stream, xorshift seed 0x9e3779b97f4a7c15{}",
             if quick { " (quick)" } else { "" }
         ),
-        host_cpus: std::thread::available_parallelism().map_or(0, |n| n.get()),
+        host_cpus: host_cpus(),
         num_objects: n,
         num_workers: k,
         num_labels: m,
@@ -398,25 +668,21 @@ fn main() {
         e_step_csr_parallel,
         session_build_seconds,
         session_build_em_iterations,
-        session_memory_bytes: session.memory_bytes(),
-        session_bytes_per_vote: session.memory_bytes() as f64
-            / session.votes_ingested().max(1) as f64,
-        session_memory_over_csr: session.memory_bytes() as f64 / csr_matrix_bytes.max(1) as f64,
+        session_memory_bytes,
+        session_bytes_per_vote: session_memory_bytes as f64 / votes_ingested.max(1) as f64,
+        session_memory_over_csr: session_memory_bytes as f64 / csr_matrix_bytes.max(1) as f64,
         snapshot_full_p99_ms,
-        snapshot_full_max_ms: max_ms(&full_walls),
         snapshot_delta_p99_ms,
-        snapshot_delta_max_ms: max_ms(&delta_walls),
         snapshot_stall_ratio_p99: snapshot_full_p99_ms / snapshot_delta_p99_ms.max(1e-12),
         last_delta_events,
         full_snapshot_samples: full_samples,
         delta_snapshot_samples: delta_samples,
+        session_ingest,
     };
 
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out_path, &json).expect("write BENCH_scale.json");
-    println!("{json}");
+    args.write_report(&report);
     println!(
-        "\ne-step csr {:.1} ns/vote vs paged {:.1} ns/vote ({:.2}x) | parallel {:.2}x ({} threads) | snapshot p99 full {:.1} ms vs delta {:.3} ms ({:.0}x) -> {}",
+        "\ne-step csr {:.1} ns/vote vs paged {:.1} ns/vote ({:.2}x) | parallel {:.2}x ({} threads) | snapshot p99 full {:.1} ms vs delta {:.3} ms ({:.0}x) | session ingest {:.2}x rebuild, batch cost {:.2}x at 10x the corpus -> {}",
         report.e_step_csr_serial.ns_per_vote,
         report.e_step_paged_serial.ns_per_vote,
         report.csr_speedup_serial,
@@ -425,43 +691,51 @@ fn main() {
         report.snapshot_full_p99_ms,
         report.snapshot_delta_p99_ms,
         report.snapshot_stall_ratio_p99,
-        out_path
+        report.session_ingest.speedup_steady_state,
+        report.session_ingest.batch_ms_ratio,
+        args.out
     );
 
-    if check {
-        // Ratio gates only — two arms of the same run share the runner's
-        // noise, so ratios are far more stable than absolute wall times.
-        let mut failed = false;
-        if report.csr_speedup_serial < 1.3 {
-            eprintln!(
-                "FAIL: CSR e-step speedup below the 1.3x floor ({:.2}x)",
-                report.csr_speedup_serial
-            );
-            failed = true;
-        }
-        if report.parallel_speedup_csr < 0.9 {
-            eprintln!(
-                "FAIL: parallel e-step slower than 0.9x serial ({:.2}x, {} threads)",
-                report.parallel_speedup_csr, report.em_threads_parallel
-            );
-            failed = true;
-        }
-        if report.snapshot_delta_p99_ms >= report.snapshot_full_p99_ms {
-            eprintln!(
-                "FAIL: delta snapshot p99 stall not below full snapshot p99 ({:.3} ms >= {:.3} ms)",
+    // Ratio gates only — two arms of the same run share the runner's noise,
+    // so ratios are far more stable than absolute wall times. The session
+    // ingest gate pairs a deterministic EM-iteration comparison with a
+    // throughput ratio that keeps a 20 % noise margin.
+    let mut gates = args.gates();
+    gates.at_least(
+        "CSR vs paged e-step speedup",
+        report.csr_speedup_serial,
+        1.3,
+    );
+    gates.at_least(
+        "parallel vs serial e-step speedup",
+        report.parallel_speedup_csr,
+        0.9,
+    );
+    gates.require(
+        report.snapshot_delta_p99_ms < report.snapshot_full_p99_ms,
+        || {
+            format!(
+                "delta snapshot p99 stall not below full snapshot p99 ({:.3} ms >= {:.3} ms)",
                 report.snapshot_delta_p99_ms, report.snapshot_full_p99_ms
-            );
-            failed = true;
-        }
-        if report.session_memory_over_csr > 1.25 {
-            eprintln!(
-                "FAIL: session holds {:.2}x the CSR-mirrored matrix footprint (> 1.25x: a second copy of the corpus?)",
-                report.session_memory_over_csr
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-    }
+            )
+        },
+    );
+    // A second copy of the corpus would double the session's footprint.
+    gates.at_most(
+        "session memory over the CSR-mirrored matrix",
+        report.session_memory_over_csr,
+        1.25,
+    );
+    let ingest = &report.session_ingest;
+    gates.at_most(
+        "incremental session ingest EM iterations",
+        ingest.incremental.em_iterations,
+        ingest.rebuild.em_iterations,
+    );
+    gates.at_least(
+        "incremental vs rebuild steady-state ingest",
+        ingest.speedup_steady_state,
+        0.8,
+    );
+    gates.finish();
 }

@@ -22,21 +22,37 @@
 //! the identical object at every step — the cached path's lazy bounds must
 //! not change the selection order, only skip provably dominated evaluations.
 //!
+//! A third arm, `service`, drives the same schedule through the
+//! [`ValidationService`] front door (`SubmitVotes`, `RequestGuidance`,
+//! `SubmitValidation` envelopes) with the cached path's configuration, so
+//! the protocol boundary (external-id interning, envelope dispatch) is
+//! priced against the in-process `select_next` of the same run. The
+//! service numbers objects in arrival order, so near-ties may break
+//! differently and its picks are not asserted equal.
+//!
 //! Usage: `bench_select [--quick] [--check] [--out <path>]`
 //!
 //! `--quick` shrinks the scenario for CI smoke runs; `--check` exits
 //! non-zero if the cached loop is slower than the eager one beyond the noise
-//! margin, or if the cache stops serving a meaningful share of candidate
-//! evaluations at steady state (the CI `select-smoke` gate).
+//! margin, if the cache stops serving a meaningful share of candidate
+//! evaluations at steady state, or if the guidance p50 through the service
+//! exceeds 2x the cached path's `select_next` p50.
 
+use crowdval_bench::harness::{host_cpus, BenchArgs};
 use crowdval_core::{
     GuidanceTelemetry, ProcessConfig, ScoringEngine, UncertaintyDriven, ValidationSession,
     ValidationSessionBuilder,
 };
-use crowdval_model::ObjectId;
+use crowdval_model::{LabelId, ObjectId, Vote};
+use crowdval_service::{
+    ClientVote, Request, RequestEnvelope, Response, StrategyChoice, TaskConfig, ValidationService,
+};
 use crowdval_sim::{StreamingConfig, StreamingScenario, SyntheticConfig};
 use serde::Serialize;
 use std::time::Instant;
+
+/// The service arm's task name.
+const TASK: &str = "bench";
 
 #[derive(Debug, Serialize)]
 struct PathReport {
@@ -62,9 +78,23 @@ struct PathReport {
     hypothesis_em_iterations: usize,
 }
 
+/// The `service` arm: guidance latency through the front door against the
+/// cached path's in-process `select_next`.
+#[derive(Debug, Serialize)]
+struct ServiceReport {
+    /// `RequestGuidance` envelopes handled (one per validation step).
+    requests: usize,
+    guidance_p50_ms: f64,
+    /// p50 of the cached path's `select_next` over the same steps.
+    in_process_p50_ms: f64,
+    /// `guidance_p50_ms / in_process_p50_ms`, gated at 2x.
+    overhead_factor: f64,
+}
+
 #[derive(Debug, Serialize)]
 struct BenchReport {
     scenario: String,
+    host_cpus: usize,
     total_votes: usize,
     batches: usize,
     final_objects: usize,
@@ -73,6 +103,7 @@ struct BenchReport {
     shortlist: usize,
     cached: PathReport,
     eager: PathReport,
+    service: ServiceReport,
     /// Headline number: full validation steps (select + integrate) per
     /// second over the steady-state window — the regime the cross-step
     /// cache targets (the first half of the run is dominated by arrival
@@ -93,41 +124,108 @@ struct BenchReport {
     selection_order_identical: bool,
 }
 
+#[derive(Default)]
 struct DriveResult {
     picks: Vec<ObjectId>,
     select_walls: Vec<f64>,
     /// Per-step select + integrate wall time.
     step_walls: Vec<f64>,
     loop_wall: f64,
-    /// Per-step guidance telemetry (zeros on the eager path).
+    /// Per-step guidance telemetry (zeros where the path does not run it).
     steps: Vec<GuidanceTelemetry>,
-    final_objects: usize,
-    final_workers: usize,
 }
 
-/// Drives one session through the full schedule: initial snapshot, two
+/// The three operations the validation schedule drives, in-process or
+/// through the service front door.
+trait GuidedLoop {
+    fn ingest(&mut self, votes: &[Vote]);
+    fn select(&mut self) -> Option<ObjectId>;
+    fn integrate(&mut self, object: ObjectId, label: LabelId);
+    fn telemetry(&self) -> GuidanceTelemetry;
+}
+
+impl GuidedLoop for ValidationSession {
+    fn ingest(&mut self, votes: &[Vote]) {
+        ValidationSession::ingest(self, votes).expect("stream batches ingest");
+    }
+    fn select(&mut self) -> Option<ObjectId> {
+        self.select_next()
+    }
+    fn integrate(&mut self, object: ObjectId, label: LabelId) {
+        ValidationSession::integrate(self, object, label).expect("truth labels are in range");
+    }
+    fn telemetry(&self) -> GuidanceTelemetry {
+        self.last_guidance_telemetry()
+    }
+}
+
+/// A single-task [`ValidationService`]; objects are named `o<index>`.
+struct ServiceLoop(ValidationService);
+
+impl ServiceLoop {
+    fn send(&mut self, request: Request) -> Response {
+        self.0
+            .handle(&RequestEnvelope::latest(request))
+            .expect("benchmark requests are well-formed")
+    }
+}
+
+fn label_name(label: LabelId) -> String {
+    format!("l{}", label.index())
+}
+
+impl GuidedLoop for ServiceLoop {
+    fn ingest(&mut self, votes: &[Vote]) {
+        let votes = votes
+            .iter()
+            .map(|v| ClientVote {
+                worker: format!("w{}", v.worker.index()),
+                object: format!("o{}", v.object.index()),
+                label: label_name(v.label),
+            })
+            .collect();
+        self.send(Request::SubmitVotes {
+            task: TASK.into(),
+            votes,
+        });
+    }
+    fn select(&mut self) -> Option<ObjectId> {
+        let Response::Guidance { object, .. } =
+            self.send(Request::RequestGuidance { task: TASK.into() })
+        else {
+            panic!("guidance requests answer with guidance");
+        };
+        object.map(|name| {
+            ObjectId(
+                name.strip_prefix('o')
+                    .and_then(|i| i.parse().ok())
+                    .expect("bench object ids are o<index>"),
+            )
+        })
+    }
+    fn integrate(&mut self, object: ObjectId, label: LabelId) {
+        self.send(Request::SubmitValidation {
+            task: TASK.into(),
+            object: format!("o{}", object.index()),
+            label: label_name(label),
+        });
+    }
+    fn telemetry(&self) -> GuidanceTelemetry {
+        GuidanceTelemetry::default()
+    }
+}
+
+/// Drives one path through the full schedule: initial snapshot, two
 /// orientation anchors, then arrival batches interleaved with validations
 /// until the budget is spent.
 fn drive(
     scenario: &StreamingScenario,
-    cached: bool,
-    shortlist: usize,
+    path: &mut impl GuidedLoop,
     per_batch: usize,
     budget: usize,
 ) -> DriveResult {
     let truth = &scenario.truth;
-    let mut session = ValidationSessionBuilder::empty(scenario.num_labels)
-        .strategy(Box::new(UncertaintyDriven::with_engine(
-            ScoringEngine::with_shortlist(shortlist),
-        )))
-        .config(ProcessConfig {
-            guidance_cache: cached,
-            ..ProcessConfig::default()
-        })
-        .build();
-    session
-        .ingest(&scenario.initial)
-        .expect("initial snapshot ingests");
+    path.ingest(&scenario.initial);
 
     // Two early validations anchor the label orientation (below two anchors
     // the hypothesis scorer falls back to the exact path).
@@ -142,71 +240,73 @@ fn drive(
     }
     assert_eq!(anchors.len(), 2, "stream too small to anchor");
     for &o in &anchors {
-        session
-            .integrate(o, truth.label(o))
-            .expect("truth labels are in range");
+        path.integrate(o, truth.label(o));
     }
 
-    let mut picks = Vec::new();
-    let mut select_walls = Vec::new();
-    let mut step_walls = Vec::new();
-    let mut steps = Vec::new();
+    let mut result = DriveResult::default();
     let loop_start = Instant::now();
-    let validate = |session: &mut ValidationSession,
-                    picks: &mut Vec<ObjectId>,
-                    select_walls: &mut Vec<f64>,
-                    step_walls: &mut Vec<f64>,
-                    steps: &mut Vec<GuidanceTelemetry>| {
-        if picks.len() >= budget {
-            return;
+    // One validation step; false once the budget is spent or every object
+    // is validated.
+    let validate = |path: &mut dyn GuidedLoop, result: &mut DriveResult| -> bool {
+        if result.picks.len() >= budget {
+            return false;
         }
         let start = Instant::now();
-        let Some(o) = session.select_next() else {
-            return;
+        let Some(o) = path.select() else {
+            return false;
         };
-        select_walls.push(start.elapsed().as_secs_f64());
-        steps.push(session.last_guidance_telemetry());
-        picks.push(o);
-        session
-            .integrate(o, truth.label(o))
-            .expect("truth labels are in range");
-        step_walls.push(start.elapsed().as_secs_f64());
+        result.select_walls.push(start.elapsed().as_secs_f64());
+        result.steps.push(path.telemetry());
+        result.picks.push(o);
+        path.integrate(o, truth.label(o));
+        result.step_walls.push(start.elapsed().as_secs_f64());
+        true
     };
     for batch in &scenario.batches {
-        session.ingest(batch).expect("stream batches ingest");
+        path.ingest(batch);
         for _ in 0..per_batch {
-            validate(
-                &mut session,
-                &mut picks,
-                &mut select_walls,
-                &mut step_walls,
-                &mut steps,
-            );
+            validate(path, &mut result);
         }
     }
-    while picks.len() < budget {
-        let before = picks.len();
-        validate(
-            &mut session,
-            &mut picks,
-            &mut select_walls,
-            &mut step_walls,
-            &mut steps,
-        );
-        if picks.len() == before {
-            break; // every object validated
-        }
-    }
-    let loop_wall = loop_start.elapsed().as_secs_f64();
-    DriveResult {
-        picks,
-        select_walls,
-        step_walls,
-        loop_wall,
-        steps,
-        final_objects: session.answers().num_objects(),
-        final_workers: session.answers().num_workers(),
-    }
+    while validate(path, &mut result) {}
+    result.loop_wall = loop_start.elapsed().as_secs_f64();
+    result
+}
+
+fn session(scenario: &StreamingScenario, cached: bool, shortlist: usize) -> ValidationSession {
+    ValidationSessionBuilder::empty(scenario.num_labels)
+        .strategy(Box::new(UncertaintyDriven::with_engine(
+            ScoringEngine::with_shortlist(shortlist),
+        )))
+        .config(ProcessConfig {
+            guidance_cache: cached,
+            ..ProcessConfig::default()
+        })
+        .build()
+}
+
+/// The cached path's configuration behind the service front door.
+fn service(scenario: &StreamingScenario, shortlist: usize) -> ServiceLoop {
+    let mut service = ServiceLoop(ValidationService::new());
+    service.send(Request::CreateTask {
+        task: TASK.into(),
+        labels: (0..scenario.num_labels)
+            .map(|l| label_name(LabelId(l)))
+            .collect(),
+        config: TaskConfig {
+            strategy: StrategyChoice::UncertaintyDriven,
+            shortlist: Some(shortlist),
+            ..TaskConfig::default()
+        },
+    });
+    service
+}
+
+/// Median of a sample set, in milliseconds.
+fn p50_ms(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2] * 1e3
 }
 
 fn path_report(result: &DriveResult) -> PathReport {
@@ -237,17 +337,11 @@ fn path_report(result: &DriveResult) -> PathReport {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_select.json".to_string());
+    let args = BenchArgs::parse("BENCH_select.json");
+    let quick = args.quick;
 
-    // The paper-default streaming scenario of bench_ingest, so the numbers
-    // are comparable across the three benchmarks.
+    // The paper-default streaming scenario of `bench_scale`'s
+    // `session_ingest` arm (seed aside), so the numbers are comparable.
     // Two validations per arrival batch (the expert validates continuously
     // while the stream arrives), then the remaining budget on the settled
     // corpus.
@@ -256,9 +350,8 @@ fn main() {
     } else {
         (150, 32, 100, 135, 3)
     };
-    // The engine-default pre-filter width (the paper-default configuration;
-    // bench_ingest narrows it to 16 as a latency knob, but the selection
-    // comparison should measure the default select step).
+    // The engine-default pre-filter width (the paper-default configuration:
+    // the selection comparison should measure the default select step).
     let shortlist = crowdval_core::scoring::DEFAULT_SHORTLIST;
     let scenario = StreamingConfig {
         base: SyntheticConfig {
@@ -273,8 +366,20 @@ fn main() {
     }
     .generate();
 
-    let cached = drive(&scenario, true, shortlist, per_batch, budget);
-    let eager = drive(&scenario, false, shortlist, per_batch, budget);
+    let mut cached_session = session(&scenario, true, shortlist);
+    let cached = drive(&scenario, &mut cached_session, per_batch, budget);
+    let eager = drive(
+        &scenario,
+        &mut session(&scenario, false, shortlist),
+        per_batch,
+        budget,
+    );
+    let through_service = drive(
+        &scenario,
+        &mut service(&scenario, shortlist),
+        per_batch,
+        budget,
+    );
 
     assert_eq!(
         cached.picks, eager.picks,
@@ -300,15 +405,24 @@ fn main() {
         });
     let cached_steady_ms = cached_report.step_ms_steady;
     let eager_steady_ms = eager_report.step_ms_steady;
+    let guidance_p50_ms = p50_ms(&through_service.select_walls);
+    let in_process_p50_ms = p50_ms(&cached.select_walls);
+    let service_report = ServiceReport {
+        requests: through_service.picks.len(),
+        guidance_p50_ms,
+        in_process_p50_ms,
+        overhead_factor: guidance_p50_ms / in_process_p50_ms.max(1e-12),
+    };
     let report = BenchReport {
         scenario: format!(
             "paper-default stream, seed 92000, single-threaded{}",
             if quick { " (quick)" } else { "" }
         ),
+        host_cpus: host_cpus(),
         total_votes: scenario.total_votes(),
         batches: scenario.batches.len(),
-        final_objects: cached.final_objects,
-        final_workers: cached.final_workers,
+        final_objects: cached_session.answers().num_objects(),
+        final_workers: cached_session.answers().num_workers(),
         validations: cached.picks.len(),
         shortlist,
         speedup_steady_state: eager_steady_ms / cached_steady_ms.max(1e-12),
@@ -321,54 +435,47 @@ fn main() {
         selection_order_identical: true,
         cached: cached_report,
         eager: eager_report,
+        service: service_report,
     };
 
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out_path, format!("{json}\n")).expect("report written");
-    println!("{json}");
+    args.write_report(&report);
     println!(
-        "\ncached {:.1}/s | eager {:.1}/s  (steady-state {:.2}x, overall {:.2}x, select-only {:.2}x) | steady hit rate {:.0}% -> {}",
+        "\ncached {:.1}/s | eager {:.1}/s  (steady-state {:.2}x, overall {:.2}x, select-only {:.2}x) | steady hit rate {:.0}% | service guidance {:.2}x in-process -> {}",
         report.cached.selections_per_sec,
         report.eager.selections_per_sec,
         report.speedup_steady_state,
         report.speedup_end_to_end,
         report.speedup_select_only,
         report.cache_hit_rate_steady * 100.0,
-        out_path
+        report.service.overhead_factor,
+        args.out
     );
 
-    if check {
-        // Three-part gate: the selection-order assert above is the
-        // correctness half; the evaluated-candidates comparison is
-        // deterministic (no wall-clock noise on a shared CI runner); the
-        // throughput comparison keeps a noise margin so only a real
-        // regression trips it.
-        let mut failed = false;
-        // Deterministic gate (no wall-clock noise): at steady state more
-        // than half of all candidate evaluations must be served from the
-        // cache. The quick smoke scenario is smaller and more volatile —
-        // each validation shifts a larger share of its model, so retained
-        // scores survive fewer steps — and gates at a meaningful share
-        // instead.
-        let min_steady_hits = if quick { 0.30 } else { 0.50 };
-        if report.cache_hit_rate_steady <= min_steady_hits {
-            eprintln!(
-                "FAIL: steady-state cache hit rate {:.0}% is at or below the {:.0}% gate",
-                report.cache_hit_rate_steady * 100.0,
-                min_steady_hits * 100.0
-            );
-            failed = true;
-        }
-        if report.speedup_steady_state < 0.9 {
-            eprintln!(
-                "FAIL: cached selection loop is slower than eager at steady state beyond \
-                 the noise margin ({:.2}x < 0.9x)",
-                report.speedup_steady_state
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-    }
+    // Three-part gate: the selection-order assert above is the correctness
+    // half; the cache hit rate is deterministic (no wall-clock noise on a
+    // shared CI runner); the throughput comparison keeps a noise margin so
+    // only a real regression trips it. At steady state more than half of
+    // all candidate evaluations must be served from the cache. The quick
+    // smoke scenario is smaller and more volatile — each validation shifts
+    // a larger share of its model, so retained scores survive fewer steps —
+    // and gates at a meaningful share instead.
+    let mut gates = args.gates();
+    let min_steady_hits = if quick { 0.30 } else { 0.50 };
+    gates.require(report.cache_hit_rate_steady > min_steady_hits, || {
+        format!(
+            "steady-state cache hit rate {:.3} is at or below {min_steady_hits}",
+            report.cache_hit_rate_steady
+        )
+    });
+    gates.at_least(
+        "cached vs eager steady-state speedup",
+        report.speedup_steady_state,
+        0.9,
+    );
+    gates.at_most(
+        "service vs in-process guidance p50",
+        report.service.overhead_factor,
+        2.0,
+    );
+    gates.finish();
 }

@@ -25,8 +25,9 @@
 //! non-zero unless, under the clique attack, the defended arm is strictly
 //! more accurate than the undefended arm, every clique attacker is caught
 //! within the first 85% of the stream, and at most one honest worker is
-//! still excluded at stream end (the CI `spam-smoke` gate).
+//! still excluded at stream end.
 
+use crowdval_bench::harness::{host_cpus, BenchArgs};
 use crowdval_core::{HybridStrategy, ProcessConfig, ValidationSession, ValidationSessionBuilder};
 use crowdval_model::WorkerId;
 use crowdval_sim::{
@@ -80,6 +81,7 @@ struct ScenarioReport {
 #[derive(Debug, Serialize)]
 struct BenchReport {
     scenario: String,
+    host_cpus: usize,
     num_objects: usize,
     num_workers_honest: usize,
     num_labels: usize,
@@ -202,15 +204,8 @@ fn run_scenario(attack: AttackKind, quick: bool) -> ScenarioReport {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_spam.json".to_string());
-
+    let args = BenchArgs::parse("BENCH_spam.json");
+    let quick = args.quick;
     let attacks = [
         AttackKind::Clique,
         AttackKind::Sleeper,
@@ -225,6 +220,7 @@ fn main() {
             "all-reliable crowd + 5 riders per attack, perfect oracle{}",
             if quick { " (quick)" } else { "" }
         ),
+        host_cpus: host_cpus(),
         num_objects: sample.honest.config.base.num_objects,
         num_workers_honest: sample.honest.config.base.num_workers,
         num_labels: sample.num_labels,
@@ -232,9 +228,7 @@ fn main() {
         scenarios,
     };
 
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out_path, &json).expect("write BENCH_spam.json");
-    println!("{json}");
+    args.write_report(&report);
     for s in &report.scenarios {
         println!(
             "{:8} defended {:.3} vs undefended {:.3} (gain {:+.3}) | caught {}/{} attackers, mean latency {:.0} votes",
@@ -248,53 +242,40 @@ fn main() {
         );
     }
 
-    if check {
-        let clique = report
-            .scenarios
-            .iter()
-            .find(|s| s.attack == "clique")
-            .expect("clique scenario is always run");
-        let mut failures = Vec::new();
-        if clique.defended.precision <= clique.undefended.precision {
-            failures.push(format!(
+    let clique = report
+        .scenarios
+        .iter()
+        .find(|s| s.attack == "clique")
+        .expect("clique scenario is always run");
+    let mut gates = args.gates();
+    gates.require(
+        clique.defended.precision > clique.undefended.precision,
+        || {
+            format!(
                 "defended clique precision {:.4} must strictly beat undefended {:.4}",
                 clique.defended.precision, clique.undefended.precision
-            ));
-        }
-        if clique.defended.attackers_excluded < clique.num_attackers {
-            failures.push(format!(
-                "only {}/{} clique attackers tombstoned",
-                clique.defended.attackers_excluded, clique.num_attackers
-            ));
-        }
-        // Transient honest exclusions are by design recoverable (the
-        // hysteresis reinstates them as exonerating validations arrive);
-        // the stream may simply end mid-recovery. One still-excluded
-        // honest worker is tolerated, a second means the heuristics are
-        // misfiring.
-        if clique.defended.honest_excluded > 1 {
-            failures.push(format!(
-                "{} honest workers left excluded under the clique attack",
-                clique.defended.honest_excluded
-            ));
-        }
-        let latency_gate = (clique.total_votes as f64 * 0.85).ceil() as usize;
-        if clique.defended.max_detection_latency_votes > latency_gate {
-            failures.push(format!(
-                "max detection latency {} votes exceeds the gate of {latency_gate}",
-                clique.defended.max_detection_latency_votes
-            ));
-        }
-        if report.scenarios.len() < 3 {
-            failures.push("fewer than 3 adversarial scenarios ran".to_string());
-        }
-        if failures.is_empty() {
-            println!("\ncheck passed: defense gates hold under the clique attack");
-        } else {
-            for f in &failures {
-                eprintln!("check FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+            )
+        },
+    );
+    gates.at_least(
+        "clique attackers tombstoned",
+        clique.defended.attackers_excluded,
+        clique.num_attackers,
+    );
+    // Transient honest exclusions are by design recoverable (the
+    // hysteresis reinstates them as exonerating validations arrive); the
+    // stream may simply end mid-recovery. One still-excluded honest worker
+    // is tolerated, a second means the heuristics are misfiring.
+    gates.at_most(
+        "honest workers left excluded",
+        clique.defended.honest_excluded,
+        1,
+    );
+    gates.at_most(
+        "max detection latency (votes)",
+        clique.defended.max_detection_latency_votes,
+        (clique.total_votes as f64 * 0.85).ceil() as usize,
+    );
+    gates.at_least("adversarial scenarios run", report.scenarios.len(), 3);
+    gates.finish();
 }

@@ -27,10 +27,10 @@
 //!
 //! Usage: `bench_triage [--quick] [--check] [--out <path>]`
 //!
-//! `--check` enforces the `triage-smoke` CI gate on the paper-default
-//! crowd: triaged precision ≥ plain − 0.5pt AND triaged queries ≤ 70% of
-//! plain.
+//! `--check` enforces the gate on the paper-default crowd: triaged
+//! precision ≥ plain − 0.5pt AND triaged queries ≤ 70% of plain.
 
+use crowdval_bench::harness::{host_cpus, BenchArgs};
 use crowdval_core::{HybridStrategy, ProcessConfig, TriageConfig, ValidationSessionBuilder};
 use crowdval_model::{GroundTruth, Vote};
 use crowdval_sim::{
@@ -178,6 +178,7 @@ struct CrowdReport {
 #[derive(Debug, Serialize)]
 struct BenchReport {
     scenario: String,
+    host_cpus: usize,
     precision_gate: f64,
     query_gate: f64,
     crowds: Vec<CrowdReport>,
@@ -283,15 +284,8 @@ fn run_crowd(crowd: &Crowd, quick: bool) -> CrowdReport {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_triage.json".to_string());
-
+    let args = BenchArgs::parse("BENCH_triage.json");
+    let quick = args.quick;
     let crowds = [
         paper_default_crowd(quick),
         adversarial_crowd(AttackKind::Clique, quick),
@@ -304,14 +298,13 @@ fn main() {
             "exhaustive validation, perfect oracle, triage calibrated defaults{}",
             if quick { " (quick)" } else { "" }
         ),
+        host_cpus: host_cpus(),
         precision_gate: PRECISION_GATE,
         query_gate: QUERY_GATE,
         crowds: reports,
     };
 
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out_path, &json).expect("write BENCH_triage.json");
-    println!("{json}");
+    args.write_report(&report);
     for c in &report.crowds {
         println!(
             "{:22} triaged {:3} queries / {:.4} precision vs plain {:3} / {:.4} | saved {:.0}% queries, auto-finalized {}, equal-precision saving {}",
@@ -326,42 +319,23 @@ fn main() {
         );
     }
 
-    if check {
-        let paper = report
-            .crowds
-            .iter()
-            .find(|c| c.crowd == "paper_default")
-            .expect("paper-default crowd is always run");
-        let mut failures = Vec::new();
-        if paper.precision_loss > PRECISION_GATE {
-            failures.push(format!(
-                "triaged precision {:.4} trails plain {:.4} by more than the {:.1}pt gate",
-                paper.triaged.precision,
-                paper.plain.precision,
-                PRECISION_GATE * 100.0
-            ));
-        }
-        if paper.triaged.queries as f64 > QUERY_GATE * paper.plain.queries as f64 {
-            failures.push(format!(
-                "triaged queries {} exceed {:.0}% of plain's {}",
-                paper.triaged.queries,
-                QUERY_GATE * 100.0,
-                paper.plain.queries
-            ));
-        }
-        if paper.triaged.auto_finalized == 0 {
-            failures.push("triage never auto-finalized anything".to_string());
-        }
-        if report.crowds.len() < 3 {
-            failures.push("fewer than 3 crowds ran".to_string());
-        }
-        if failures.is_empty() {
-            println!("\ncheck passed: triage gates hold on the paper-default crowd");
-        } else {
-            for f in &failures {
-                eprintln!("check FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    let paper = report
+        .crowds
+        .iter()
+        .find(|c| c.crowd == "paper_default")
+        .expect("paper-default crowd is always run");
+    let mut gates = args.gates();
+    gates.at_most(
+        "triaged precision loss vs plain",
+        paper.precision_loss,
+        PRECISION_GATE,
+    );
+    gates.at_most(
+        "triaged queries",
+        paper.triaged.queries as f64,
+        QUERY_GATE * paper.plain.queries as f64,
+    );
+    gates.at_least("objects auto-finalized", paper.triaged.auto_finalized, 1);
+    gates.at_least("crowds run", report.crowds.len(), 3);
+    gates.finish();
 }

@@ -5,8 +5,10 @@
 //! [`report::Report`] — a set of labelled rows that is printed to stdout and
 //! written as JSON under `target/experiments/`. The `experiments` binary
 //! dispatches on experiment ids (`fig04`, `tab05`, …) or runs them all.
+//! The `bench_*` binaries share [`harness`].
 
 pub mod exp;
+pub mod harness;
 pub mod report;
 pub mod runner;
 

@@ -113,7 +113,7 @@ fn task_script(task: &str, index: usize, rounds: usize) -> Vec<Request> {
 /// mixed traffic from many tenants, every task's final snapshot is
 /// bit-identical (compared on the serialized wire form) to a serial
 /// replay of that task's own request stream on a fresh single-threaded
-/// service.
+/// service — at every shard count, one shard included.
 #[test]
 fn concurrent_mixed_traffic_is_bit_identical_to_serial_replay() {
     const TENANTS: usize = 20;
@@ -153,52 +153,61 @@ fn concurrent_mixed_traffic_is_bit_identical_to_serial_replay() {
     let total = envelopes.len();
     assert!(total >= 1000, "want thousands of requests, got {total}");
 
-    let (runtime, replies) = ShardRuntime::start(RuntimeConfig {
-        num_shards: 4,
-        mailbox_capacity: 64,
-        overload: OverloadPolicy::Block,
-        ..RuntimeConfig::default()
-    });
-    for envelope in envelopes {
-        assert!(matches!(
-            runtime.submit(envelope),
-            Dispatch::Enqueued { .. }
-        ));
-    }
-    runtime.shutdown();
-    let collected: Vec<Reply> = replies.into_iter().collect();
-    assert_eq!(collected.len(), total, "a reply per accepted request");
-
-    // Pull each tenant's final snapshot out of the concurrent replies,
-    // matched by the echoed correlation id (arrival order is arbitrary).
-    let mut concurrent: HashMap<usize, String> = HashMap::new();
-    for reply in &collected {
-        if let Some(&tenant) = snapshot_ids.get(&reply.request_id) {
-            match reply.result() {
-                Ok(Response::Snapshot { snapshot, .. }) => {
-                    concurrent.insert(tenant, serde_json::to_string(snapshot).unwrap());
-                }
-                other => panic!("snapshot request failed: {other:?}"),
-            }
-        }
-    }
-    assert_eq!(concurrent.len(), TENANTS);
-
     // Serial replay: each tenant's own stream, alone, on a fresh service.
-    for (tenant, (task, script)) in scripts.iter().enumerate() {
-        let mut service = ValidationService::new();
-        let mut serial = None;
-        for request in script.iter().cloned() {
-            let reply = service.reply(&RequestEnvelope::latest(request));
-            if let ReplyOutcome::Ok(Response::Snapshot { snapshot, .. }) = reply.outcome {
-                serial = Some(serde_json::to_string(&snapshot).unwrap());
+    let serial: Vec<Option<String>> = scripts
+        .iter()
+        .map(|(_, script)| {
+            let mut service = ValidationService::new();
+            let mut serial = None;
+            for request in script.iter().cloned() {
+                let reply = service.reply(&RequestEnvelope::latest(request));
+                if let ReplyOutcome::Ok(Response::Snapshot { snapshot, .. }) = reply.outcome {
+                    serial = Some(serde_json::to_string(&snapshot).unwrap());
+                }
+            }
+            serial
+        })
+        .collect();
+
+    for num_shards in [1, 2, 4] {
+        let (runtime, replies) = ShardRuntime::start(RuntimeConfig {
+            num_shards,
+            mailbox_capacity: 64,
+            overload: OverloadPolicy::Block,
+            ..RuntimeConfig::default()
+        });
+        for envelope in envelopes.iter().cloned() {
+            assert!(matches!(
+                runtime.submit(envelope),
+                Dispatch::Enqueued { .. }
+            ));
+        }
+        runtime.shutdown();
+        let collected: Vec<Reply> = replies.into_iter().collect();
+        assert_eq!(collected.len(), total, "a reply per accepted request");
+
+        // Pull each tenant's final snapshot out of the concurrent replies,
+        // matched by the echoed correlation id (arrival order is arbitrary).
+        let mut concurrent: HashMap<usize, String> = HashMap::new();
+        for reply in &collected {
+            if let Some(&tenant) = snapshot_ids.get(&reply.request_id) {
+                match reply.result() {
+                    Ok(Response::Snapshot { snapshot, .. }) => {
+                        concurrent.insert(tenant, serde_json::to_string(snapshot).unwrap());
+                    }
+                    other => panic!("snapshot request failed: {other:?}"),
+                }
             }
         }
-        assert_eq!(
-            concurrent.get(&tenant),
-            serial.as_ref(),
-            "tenant {task} diverged from its serial replay"
-        );
+        assert_eq!(concurrent.len(), TENANTS);
+
+        for (tenant, (task, _)) in scripts.iter().enumerate() {
+            assert_eq!(
+                concurrent.get(&tenant),
+                serial[tenant].as_ref(),
+                "tenant {task} diverged from its serial replay at {num_shards} shard(s)"
+            );
+        }
     }
 }
 

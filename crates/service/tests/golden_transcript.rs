@@ -1,6 +1,6 @@
 //! Replays the committed smoke conversation (`tests/data/conversation.jsonl`)
 //! through an in-process [`ValidationService`] and diffs every reply against
-//! the committed golden transcript — the same check the CI `service-smoke`
+//! the committed golden transcript — the same check the CI `build-and-test`
 //! job performs through the `crowdval-serve` binary, minus the process
 //! boundary. Keeping it in `cargo test` means a protocol or engine change
 //! that shifts the wire output fails locally, not just in CI.
