@@ -69,7 +69,7 @@ impl ChurnTracker {
     }
 
     /// Folds one re-aggregation round into the scores: every object decays
-    /// by [`CHURN_DECAY`], the `moved` objects gain the complementary mass.
+    /// by `CHURN_DECAY`, the `moved` objects gain the complementary mass.
     /// `moved` is the round's converged dirty frontier in id order
     /// (duplicates are harmless but waste the bump); `num_objects` is the
     /// corpus size after the round, so growth rows enter at the unknown
@@ -88,7 +88,7 @@ impl ChurnTracker {
     }
 
     /// The churn score of one object, in `[0, 1]`. Objects the tracker has
-    /// never covered read as fully churning ([`CHURN_UNKNOWN`]).
+    /// never covered read as fully churning (`CHURN_UNKNOWN`).
     pub fn churn(&self, object: ObjectId) -> f64 {
         self.scores
             .get(object.index())

@@ -5,11 +5,11 @@
 //! incremental variant in [`crate::iem`]) and the traditional batch estimator
 //! [`BatchEm`] that restarts the estimation on every call.
 //!
-//! All estimation runs through an [`EmWorkspace`](crate::workspace::EmWorkspace)
-//! of reusable scratch buffers: the E-step reads per-worker log-confusion
-//! tables cached once per M-step (instead of calling `ln()` per vote per
-//! object per iteration) and writes into a preallocated assignment buffer, so
-//! the steady-state EM iteration allocates nothing. The public `*_step`
+//! All estimation runs through an [`EmWorkspace`] of reusable scratch
+//! buffers: the E-step reads per-worker log-confusion tables cached once per
+//! M-step (instead of calling `ln()` per vote per object per iteration) and
+//! writes into a preallocated assignment buffer, so the steady-state EM
+//! iteration allocates nothing. The public `*_step`
 //! functions below are thin allocation-at-the-edges wrappers over those
 //! workspace kernels; the guidance hot path bypasses the wrappers entirely
 //! via [`run_warm_em`] and [`crate::delta`].
@@ -25,37 +25,13 @@ use crowdval_model::{
 use crowdval_numerics::Matrix;
 
 /// Computes one object's posterior label distribution into `row` from the
-/// cached log tables (Eq. 1–3, log domain). `votes` is a cheaply clonable
-/// vote iterator (the paged-arena rows hand these out); `scores` is the
-/// per-label log-score scratch. The row is normalized in place exactly as
+/// cached log tables (Eq. 1–3, log domain). `votes` is the object's flat
+/// `(worker, label)` row; votes of tombstoned workers are skipped, exactly
+/// as `ObjectVotes` skips them. `scores` is the per-label log-score
+/// scratch. The row is normalized in place exactly as
 /// [`Matrix::normalize_rows`] would.
 #[inline]
-pub(crate) fn posterior_row<I>(
-    m: usize,
-    votes: I,
-    log_confusions: &[f64],
-    log_priors: &[f64],
-    scores: &mut [f64],
-    row: &mut [f64],
-) where
-    I: Iterator<Item = (WorkerId, LabelId)> + Clone,
-{
-    for (l, score) in scores.iter_mut().enumerate() {
-        *score = log_priors[l];
-        for (w, answered) in votes.clone() {
-            *score += log_confusions[w.index() * m * m + l * m + answered.index()];
-        }
-    }
-    exp_normalize_scores(m, scores, row);
-}
-
-/// [`posterior_row`] specialized for a flat compact-view row slice: the same
-/// per-label log-score accumulation over the same votes in the same order
-/// (the compact mirror is rewritten from the paged chain, and the tombstone
-/// filter here matches `ObjectVotes`), so the result is bitwise identical to
-/// the iterator path — just without chunk-chain bookkeeping per vote.
-#[inline]
-pub(crate) fn posterior_row_flat(
+pub(crate) fn posterior_row(
     m: usize,
     votes: &[(u32, u32)],
     excluded: &[bool],
@@ -73,13 +49,6 @@ pub(crate) fn posterior_row_flat(
             *score += log_confusions[w as usize * m * m + l * m + answered as usize];
         }
     }
-    exp_normalize_scores(m, scores, row);
-}
-
-/// The shared max-shifted exp-normalization tail of the posterior kernels
-/// (one body, so the flat and iterator paths cannot drift apart).
-#[inline]
-fn exp_normalize_scores(m: usize, scores: &[f64], row: &mut [f64]) {
     let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     for (l, &score) in scores.iter().enumerate() {
         row[l] = (score - max).exp();
@@ -98,8 +67,7 @@ fn exp_normalize_scores(m: usize, scores: &[f64], row: &mut [f64]) {
 }
 
 /// One object's E-step row: clamp when validated, else the posterior from
-/// the cached log tables — through the flat compact row when the mirror is
-/// clean, through the paged chain otherwise (bitwise-identical results).
+/// the cached log tables over the object's flat row.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn e_step_row<V: ValidationView>(
@@ -117,41 +85,28 @@ pub(crate) fn e_step_row<V: ValidationView>(
         row[validated.index()] = 1.0;
         return;
     }
-    if let Some(pairs) = matrix.object_row_slice(o) {
-        posterior_row_flat(
-            m,
-            pairs,
-            matrix.excluded_mask(),
-            log_confusions,
-            log_priors,
-            scores,
-            row,
-        );
-    } else {
-        posterior_row(
-            m,
-            matrix.answers_for_object(o),
-            log_confusions,
-            log_priors,
-            scores,
-            row,
-        );
-    }
+    posterior_row(
+        m,
+        matrix.object_row_slice(o),
+        matrix.excluded_mask(),
+        log_confusions,
+        log_priors,
+        scores,
+        row,
+    );
 }
 
 /// How many rows ahead of the one being computed the E-step prefetches
-/// voter confusion tables (compact-view rows only). Sized so the prefetch
+/// voter confusion tables. Sized so the prefetch
 /// distance covers roughly one DRAM round-trip of per-row compute at
 /// paper-typical row lengths (a handful of votes, a handful of labels).
 const E_STEP_PREFETCH_ROWS: usize = 8;
 
 /// Issues software prefetches for the log-confusion cache lines of a
-/// *future* object row's voters. Only possible on the compact views: the
-/// CSR pair slab is sequential, so the voters of row `o + distance` are
-/// already in cache while row `o` computes — the paged chains hide the
-/// next row's voters behind a dependent chunk-pointer load. Prefetching
-/// performs no arithmetic, so serial/parallel and paged/CSR bit-identity
-/// are untouched; on non-x86_64 targets this is a no-op.
+/// *future* object row's voters. Rows are slices of one pair slab, so the
+/// voters of row `o + distance` are one load away while row `o` computes.
+/// Prefetching performs no arithmetic, so serial/parallel bit-identity is
+/// untouched; on non-x86_64 targets this is a no-op.
 #[inline]
 fn prefetch_confusion_rows(
     matrix: &crowdval_model::AnswerMatrix,
@@ -160,18 +115,19 @@ fn prefetch_confusion_rows(
     log_confusions: &[f64],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if let Some(pairs) = matrix.object_row_slice(ObjectId(o)) {
-        for &(w, _) in pairs {
-            let idx = w as usize * m * m;
-            // A worker's m×m log table spans up to two cache lines; touch
-            // the first and last element so both lines are in flight.
-            if idx + m * m <= log_confusions.len() {
-                unsafe {
-                    use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                    let base = log_confusions.as_ptr().add(idx);
-                    _mm_prefetch(base as *const i8, _MM_HINT_T0);
-                    _mm_prefetch(base.add(m * m - 1) as *const i8, _MM_HINT_T0);
-                }
+    for &(w, _) in matrix.object_row_slice(ObjectId(o)) {
+        let idx = w as usize * m * m;
+        // A worker's m×m log table spans up to two cache lines; touch the
+        // first and last element so both lines are in flight.
+        if idx + m * m <= log_confusions.len() {
+            // SAFETY: the check above keeps both addresses inside
+            // `log_confusions` (`m >= 1`); a prefetch is a hint that reads
+            // nothing and cannot fault.
+            unsafe {
+                use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+                let base = log_confusions.as_ptr().add(idx);
+                _mm_prefetch(base as *const i8, _MM_HINT_T0);
+                _mm_prefetch(base.add(m * m - 1) as *const i8, _MM_HINT_T0);
             }
         }
     }
@@ -273,20 +229,9 @@ pub(crate) fn m_step_worker(
     m: usize,
 ) {
     counts.fill(0.0);
-    if let Some(pairs) = answers.matrix().worker_row_slice(worker) {
-        // Flat compact-view fast path: the same (object, answered) pairs in
-        // the same arrival order as the chunk-chain iterator below, so the
-        // soft counts accumulate bitwise-identically.
-        for &(o, answered) in pairs {
-            for true_label in 0..m {
-                counts[(true_label, answered as usize)] += assignment[(o as usize, true_label)];
-            }
-        }
-    } else {
-        for (o, answered) in answers.matrix().answers_for_worker(worker) {
-            for true_label in 0..m {
-                counts[(true_label, answered.index())] += assignment[(o.index(), true_label)];
-            }
+    for &(o, answered) in answers.matrix().worker_row_slice(worker) {
+        for true_label in 0..m {
+            counts[(true_label, answered as usize)] += assignment[(o as usize, true_label)];
         }
     }
     let cm = confusion.matrix_mut();
@@ -410,7 +355,7 @@ pub fn estimate_priors(assignment: &AssignmentMatrix) -> Vec<f64> {
 /// of EM iterations it took.
 ///
 /// After convergence the solution is checked for the Dawid–Skene
-/// *label-switching* ambiguity (see [`realign_in_workspace`]).
+/// *label-switching* ambiguity (see `realign_in_workspace`).
 pub fn run_em_from_confusions(
     answers: &AnswerSet,
     expert: &ExpertValidation,
@@ -444,7 +389,7 @@ pub fn run_warm_em<V: ValidationView>(
 /// ([`EmWorkspace::seed`] or [`EmWorkspace::seed_from`]) with the starting
 /// confusion matrices and priors — seeding also refreshes the cached log
 /// tables, which this loop relies on (a preceding
-/// [`maximization_step_ws`] + [`priors_from_assignment_ws`] pair refreshes
+/// `maximization_step_ws` + `priors_from_assignment_ws` pair refreshes
 /// them too). On return the workspace holds the converged assignment,
 /// confusions and priors. Performs zero heap allocations once the workspace
 /// buffers are warm (asserted by the counting-allocator test in

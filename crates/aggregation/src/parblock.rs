@@ -26,8 +26,8 @@
 //!
 //! ## Sizing
 //!
-//! The parallel path only engages above [`PAR_MIN_OBJECTS`] /
-//! [`PAR_MIN_WORKERS`] rows: below that, thread spawn/join overhead
+//! The parallel path only engages above `PAR_MIN_OBJECTS` /
+//! `PAR_MIN_WORKERS` rows: below that, thread spawn/join overhead
 //! dominates, and the serial kernels additionally guarantee zero steady-state
 //! allocations (asserted by the counting-allocator test), which the parallel
 //! blocks do not (each block allocates its small per-block scratch).

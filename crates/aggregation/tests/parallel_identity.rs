@@ -43,7 +43,6 @@ fn build_corpus(n: usize, k: usize, m: usize) -> AnswerSet {
                 .unwrap();
         }
     }
-    answers.sync_compact_views();
     answers
 }
 

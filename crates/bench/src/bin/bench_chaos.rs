@@ -16,15 +16,17 @@
 //!
 //! An unfailed `dispatch` arm prices the dispatch layer: a stream of many
 //! tiny tenants through one unsupervised shard against the same stream
-//! through one single-threaded [`ValidationService`].
+//! through one single-threaded [`ValidationService`], in
+//! [`DISPATCH_PAIRS`] back-to-back pairs of passes, so host drift lands on
+//! both sides of each pair's ratio instead of between two blocks of reps.
 //!
 //! Usage: `bench_chaos [--quick] [--check] [--out <path>]`
 //!
 //! `--quick` trims the crowd for CI smoke runs; `--check` exits non-zero
 //! unless, in every repetition, the recovered state equals the serial
 //! replay *and* every shard was restarted at least once (a chaos run in
-//! which no shard died proves nothing), or when 1-shard dispatch
-//! throughput falls below 0.9x the serial loop.
+//! which no shard died proves nothing), or when the median per-pair 1-shard
+//! dispatch throughput falls below 0.9x the serial loop's.
 
 use crowdval_bench::harness::{host_cpus, BenchArgs};
 use crowdval_service::{
@@ -158,14 +160,19 @@ struct Spread {
     max: f64,
 }
 
-fn spread(runs: &[ChaosRun], count: impl Fn(&ChaosRun) -> f64) -> Spread {
-    let mut values: Vec<f64> = runs.iter().map(count).collect();
-    values.sort_by(f64::total_cmp);
-    Spread {
-        min: values[0],
-        median: values[values.len() / 2],
-        max: values[values.len() - 1],
+impl Spread {
+    fn of(mut values: Vec<f64>) -> Self {
+        values.sort_by(f64::total_cmp);
+        Spread {
+            min: values[0],
+            median: values[values.len() / 2],
+            max: values[values.len() - 1],
+        }
     }
+}
+
+fn spread(runs: &[ChaosRun], count: impl Fn(&ChaosRun) -> f64) -> Spread {
+    Spread::of(runs.iter().map(count).collect())
 }
 
 #[derive(Debug, Serialize)]
@@ -477,16 +484,21 @@ fn chaos_run(
 /// Wall times of the `dispatch` arm are best-of-N per side: the gate
 /// compares a ratio of two measurements, and on a shared few-CPU host each
 /// individual wall is ±25% noisy.
-const WALL_REPS: usize = 3;
+/// Serial / 1-shard pass pairs the dispatch arm times (odd, so the median
+/// is one pair's ratio).
+const DISPATCH_PAIRS: usize = 11;
 
 #[derive(Debug, Serialize)]
 struct DispatchReport {
     scenario: String,
     requests: usize,
+    pairs: usize,
+    /// Median pass wall times over the pairs.
     serial_wall_ms: f64,
     one_shard_wall_ms: f64,
-    /// 1-shard throughput over the serial loop's, gated at 0.9x.
-    one_shard_vs_serial: f64,
+    /// Per-pair 1-shard throughput over the serial loop's; the median is
+    /// gated at 0.9x.
+    one_shard_vs_serial: Spread,
 }
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -559,20 +571,15 @@ fn record_snapshot(reply: &Reply, snapshots: &mut Snapshots) {
 }
 
 /// The whole stream through one single-threaded service, in order.
-/// Returns the best-of-reps wall time and the tenants' snapshots.
+/// Returns the wall time and the tenants' snapshots.
 fn serial_pass(stream: &[RequestEnvelope]) -> (f64, Snapshots) {
-    let mut best_wall_s = f64::INFINITY;
+    let mut service = ValidationService::new();
     let mut snapshots = Snapshots::new();
-    for _ in 0..WALL_REPS {
-        let mut service = ValidationService::new();
-        snapshots.clear();
-        let clock = Instant::now();
-        for envelope in stream {
-            record_snapshot(&service.reply(envelope), &mut snapshots);
-        }
-        best_wall_s = best_wall_s.min(clock.elapsed().as_secs_f64());
+    let clock = Instant::now();
+    for envelope in stream {
+        record_snapshot(&service.reply(envelope), &mut snapshots);
     }
-    (best_wall_s, snapshots)
+    (clock.elapsed().as_secs_f64(), snapshots)
 }
 
 /// The stream through one unsupervised shard whose mailbox holds all of
@@ -630,8 +637,9 @@ fn one_shard_pass(stream: &[RequestEnvelope], per_request_hint_s: f64) -> (f64, 
     (wall_s, snapshots)
 }
 
-/// Best-of-[`WALL_REPS`] serial loop, then best-of-[`WALL_REPS`] 1-shard
-/// runtime, over the same tiny-tenant stream.
+/// [`DISPATCH_PAIRS`] back-to-back pairs of one serial pass and one
+/// 1-shard pass over the same tiny-tenant stream; each pair gives one
+/// throughput ratio.
 fn dispatch_arm(quick: bool) -> DispatchReport {
     let tasks = if quick { 200 } else { 1000 };
     let scripts: Vec<Vec<Request>> = (0..tasks).map(dispatch_script).collect();
@@ -640,23 +648,28 @@ fn dispatch_arm(quick: bool) -> DispatchReport {
         .zip(1u64..)
         .map(|((_, request), id)| RequestEnvelope::new(id, request))
         .collect();
-    let (serial_wall_s, reference) = serial_pass(&stream);
+    // An untimed warm-up pass yields the reference snapshots.
+    let (_, reference) = serial_pass(&stream);
     assert_eq!(reference.len(), tasks, "every tenant snapshots");
-    let mut one_shard_wall_s = f64::INFINITY;
-    for _ in 0..WALL_REPS {
-        let (wall_s, snapshots) = one_shard_pass(&stream, serial_wall_s / stream.len() as f64);
-        assert_eq!(
-            snapshots, reference,
-            "1-shard snapshots diverged from serial"
-        );
-        one_shard_wall_s = one_shard_wall_s.min(wall_s);
-    }
+    let walls: Vec<(f64, f64)> = (0..DISPATCH_PAIRS)
+        .map(|_| {
+            let (serial_wall_s, _) = serial_pass(&stream);
+            let (one_shard_wall_s, snapshots) =
+                one_shard_pass(&stream, serial_wall_s / stream.len() as f64);
+            assert_eq!(
+                snapshots, reference,
+                "1-shard snapshots diverged from serial"
+            );
+            (serial_wall_s, one_shard_wall_s)
+        })
+        .collect();
     DispatchReport {
         scenario: format!("{tasks} tiny tenants of mixed traffic, round-robin, unsupervised"),
         requests: stream.len(),
-        serial_wall_ms: serial_wall_s * 1e3,
-        one_shard_wall_ms: one_shard_wall_s * 1e3,
-        one_shard_vs_serial: serial_wall_s / one_shard_wall_s.max(1e-12),
+        pairs: DISPATCH_PAIRS,
+        serial_wall_ms: Spread::of(walls.iter().map(|w| w.0 * 1e3).collect()).median,
+        one_shard_wall_ms: Spread::of(walls.iter().map(|w| w.1 * 1e3).collect()).median,
+        one_shard_vs_serial: Spread::of(walls.iter().map(|w| w.0 / w.1.max(1e-12)).collect()),
     }
 }
 
@@ -764,8 +777,8 @@ fn main() {
         );
     }
     gates.at_least(
-        "1-shard vs serial dispatch throughput",
-        report.dispatch.one_shard_vs_serial,
+        "median per-pair 1-shard vs serial dispatch throughput",
+        report.dispatch.one_shard_vs_serial.median,
         0.9,
     );
     gates.finish();

@@ -1,9 +1,11 @@
 //! Triage benchmark: how much expert effort does agreement-prediction
 //! triage save, and what does it cost in precision?
 //!
-//! Two arms of the same [`ValidationSession`] replay identical streams and
-//! run the validation loop to exhaustion (every object finalized — by an
-//! expert query or, in the triaged arm, by an auto-finalize):
+//! Two arms of the same
+//! [`ValidationSession`](crowdval_core::ValidationSession) replay identical
+//! streams and run the validation loop to exhaustion (every object
+//! finalized — by an expert query or, in the triaged arm, by an
+//! auto-finalize):
 //!
 //! * `plain`   — triage disabled: every object costs one expert query, so
 //!   the arm ends at precision 1.0 (the oracle never errs) having spent

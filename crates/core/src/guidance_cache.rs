@@ -22,8 +22,8 @@
 //! diminishing returns as validations accumulate — so the selection loop
 //! re-evaluates candidates in descending stale-bound order and stops as soon
 //! as the best freshly evaluated score strictly dominates the next stale
-//! bound (see [`stale_bound_margin`]). Three properties keep this exact rather
-//! than approximate:
+//! bound (see [`GuidanceCache::stale_bound_margin`]). Three properties keep
+//! this exact rather than approximate:
 //!
 //! 1. **The winner is always a fresh score.** Stale values only order the
 //!    evaluation and justify skipping; the returned argmax is computed from
@@ -54,11 +54,12 @@ use serde::{Deserialize, Serialize};
 /// retained guidance score: the dirty region is the set of rows that moved
 /// beyond this threshold (plus the objects whose vote sets changed). Rows
 /// drifting less than this perturb a candidate's information gain by far
-/// less than the [`stale_bound_margin`] slack — a binary row's entropy moves at
-/// most ~`ln((1−p)/p) · Δp` per probability step — so the retained value
-/// stays a safe upper bound for the lazy loop. Coarser than the EM
-/// convergence tolerance on purpose: near-chance crowds jiggle most rows by
-/// a few `1e-3` per validation without reordering the candidates.
+/// less than the [`GuidanceCache::stale_bound_margin`] slack — a binary
+/// row's entropy moves at most ~`ln((1−p)/p) · Δp` per probability step —
+/// so the retained value stays a safe upper bound for the lazy loop.
+/// Coarser than the EM convergence tolerance on purpose: near-chance crowds
+/// jiggle most rows by a few `1e-3` per validation without reordering the
+/// candidates.
 pub const GUIDANCE_DRIFT_THRESHOLD: f64 = 1e-2;
 
 /// Baseline of the per-state-change stale-bound slack, as a fraction of

@@ -435,9 +435,10 @@ impl ScoringEngine {
     /// against the current state would reproduce; stale entries only order
     /// the exact re-evaluations (descending bound, CELF-style) and justify
     /// stopping once the best fresh score strictly dominates the next stale
-    /// bound (per-age slack from [`stale_bound_margin`]); the argmax comparison
+    /// bound (per-age slack from
+    /// [`crate::GuidanceCache::stale_bound_margin`]); the argmax comparison
     /// (NaN as `-∞`, ties to the smaller id) mirrors the eager
-    /// [`crate::strategy::argmax_object`].
+    /// `strategy::argmax_object`.
     pub fn select_information_gain(
         &self,
         ctx: &ScoringContext<'_>,

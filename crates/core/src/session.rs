@@ -399,9 +399,9 @@ impl ValidationSession {
         let prev_objects = self.answers.num_objects();
         let prev_workers = self.answers.num_workers();
 
-        // Batch-size capacity hint: one arena/mirror reservation up front
-        // instead of chunk-at-a-time growth while the loop below records
-        // `votes.len()` arrivals.
+        // Batch-size capacity hint: one slab reservation up front instead
+        // of incremental growth while the loop below records `votes.len()`
+        // arrivals.
         self.answers.reserve_answers(votes.len());
 
         let mut touched: Vec<ObjectId> = Vec::with_capacity(votes.len());
@@ -424,12 +424,6 @@ impl ValidationSession {
         touched.sort();
         touched.dedup();
         self.votes_ingested += votes.len();
-
-        // Patch the compact CSR mirrors once per batch, so the
-        // re-aggregation below streams flat rows instead of chasing the
-        // paged chunk chains (rows dirtied after this point simply fall
-        // back to the chains until the next batch).
-        self.answers.sync_compact_views();
 
         let num_objects = self.answers.num_objects();
         self.expert.ensure_domain(num_objects);
@@ -652,8 +646,8 @@ impl ValidationSession {
         &self.answers
     }
 
-    /// Measured heap bytes of the session's answer storage: the paged
-    /// arenas, compact CSR mirrors and tombstone mask of its one answer set.
+    /// Measured heap bytes of the session's answer storage: the two flat
+    /// row views and the tombstone mask of its one answer set.
     pub fn memory_bytes(&self) -> usize {
         self.answers.matrix().memory_footprint().total_bytes()
     }

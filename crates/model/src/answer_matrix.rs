@@ -6,18 +6,17 @@
 //! we keep two adjacency views — per object and per worker — instead of a
 //! dense `n × k` grid.
 //!
-//! ## Storage: paged arenas
+//! ## Storage: flat rows
 //!
-//! Both adjacency views are stored in a *paged arena*: every row is a chain
-//! of fixed-size chunks carved out of one contiguous slab (a plain `Vec` of
-//! chunks, so appending amortizes like a vector while rows never move each
-//! other around). Compared to the previous `Vec<Vec<(id, label)>>` layout
-//! this removes the per-row heap allocation (one allocation per *slab
-//! doubling* instead of one per object/worker) and keeps each row's entries
-//! in cache-line-sized blocks, which is what the EM inner loops stream over
-//! on every iteration. Appending a vote is `O(row length)` worst case (the
-//! overwrite check scans the row) and `O(1)` amortized for fresh `(o, w)`
-//! pairs.
+//! Each adjacency view is one flat slab of `(id, label)` pairs plus a
+//! `(start, len, cap)` row table, so every row is one contiguous slice —
+//! the layout the EM inner loops stream on every iteration. Votes are
+//! written in place: an append goes to the end of its row (a full row
+//! relocates to the slab tail with 1.5x slack), an overwrite changes the
+//! label in place, and a removal swap-removes with the row's last pair. A
+//! slab holding more than about twice its live pairs is repacked in row
+//! order. Appending a vote is `O(row length)` worst case (the overwrite
+//! check scans the row) and `O(1)` amortized for fresh `(o, w)` pairs.
 //!
 //! Row entries are kept in **insertion order** (streaming arrival order), not
 //! sorted by id; every accessor returns a deterministic iterator over that
@@ -36,270 +35,16 @@
 //! Readers that judge tombstoned workers too (the §5.3 detector, the trust
 //! ledger) read unmasked rows through the `recorded_answers_for_*` pair.
 
-use crate::csr::CompactAdjacency;
+use crate::csr::Adjacency;
 use crate::error::ModelError;
 use crate::ids::{LabelId, ObjectId, WorkerId};
 use serde::{Deserialize, Serialize, Value};
-
-/// Entries per chunk. Eight `(u32, u32)` pairs keep a chunk at 64 payload
-/// bytes — one cache line — plus the chain metadata.
-const CHUNK_CAP: usize = 8;
-
-/// Sentinel chunk index for "no chunk".
-const NONE_CHUNK: u32 = u32::MAX;
-
-/// One fixed-size page of a row chain.
-#[derive(Debug, Clone)]
-struct Chunk {
-    pairs: [(u32, u32); CHUNK_CAP],
-    len: u32,
-    next: u32,
-}
-
-impl Chunk {
-    fn empty() -> Self {
-        Self {
-            pairs: [(0, 0); CHUNK_CAP],
-            len: 0,
-            next: NONE_CHUNK,
-        }
-    }
-}
-
-/// A row's chain handle inside the arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RowRef {
-    head: u32,
-    tail: u32,
-    len: u32,
-}
-
-impl RowRef {
-    const EMPTY: RowRef = RowRef {
-        head: NONE_CHUNK,
-        tail: NONE_CHUNK,
-        len: 0,
-    };
-}
-
-/// Paged adjacency lists: rows of `(id, label)` pairs chained through a
-/// shared chunk slab. Appends amortize through the slab `Vec`; chunks freed
-/// by removals are recycled through a free list.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PagedAdjacency {
-    rows: Vec<RowRef>,
-    chunks: Vec<Chunk>,
-    free: Vec<u32>,
-}
-
-impl PagedAdjacency {
-    pub(crate) fn with_rows(rows: usize) -> Self {
-        Self {
-            rows: vec![RowRef::EMPTY; rows],
-            chunks: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    pub(crate) fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    fn ensure_rows(&mut self, rows: usize) {
-        if rows > self.rows.len() {
-            self.rows.resize(rows, RowRef::EMPTY);
-        }
-    }
-
-    pub(crate) fn row_len(&self, row: usize) -> usize {
-        self.rows.get(row).map_or(0, |r| r.len as usize)
-    }
-
-    /// Reserves slab capacity for roughly `additional` more pairs. A hint:
-    /// worst-case chunk fragmentation can still allocate past it, but batch
-    /// ingestion stops paying per-doubling `Vec` growth mid-loop.
-    fn reserve_pairs(&mut self, additional: usize) {
-        let chunks = additional.div_ceil(CHUNK_CAP);
-        self.chunks.reserve(chunks.saturating_sub(self.free.len()));
-    }
-
-    /// Heap bytes held by the arena (capacities, not lengths).
-    fn heap_bytes(&self) -> usize {
-        self.rows.capacity() * std::mem::size_of::<RowRef>()
-            + self.chunks.capacity() * std::mem::size_of::<Chunk>()
-            + self.free.capacity() * std::mem::size_of::<u32>()
-    }
-
-    fn alloc_chunk(&mut self) -> u32 {
-        if let Some(idx) = self.free.pop() {
-            self.chunks[idx as usize] = Chunk::empty();
-            idx
-        } else {
-            self.chunks.push(Chunk::empty());
-            (self.chunks.len() - 1) as u32
-        }
-    }
-
-    /// Appends a pair to a row (no duplicate check).
-    fn push(&mut self, row: usize, id: u32, label: u32) {
-        let needs_chunk = {
-            let r = &self.rows[row];
-            r.head == NONE_CHUNK || self.chunks[r.tail as usize].len as usize == CHUNK_CAP
-        };
-        if needs_chunk {
-            let idx = self.alloc_chunk();
-            let r = &mut self.rows[row];
-            if r.head == NONE_CHUNK {
-                r.head = idx;
-            } else {
-                let old_tail = r.tail;
-                self.chunks[old_tail as usize].next = idx;
-            }
-            self.rows[row].tail = idx;
-        }
-        let tail = self.rows[row].tail as usize;
-        let chunk = &mut self.chunks[tail];
-        chunk.pairs[chunk.len as usize] = (id, label);
-        chunk.len += 1;
-        self.rows[row].len += 1;
-    }
-
-    /// Locates a pair by id: `(chunk index, position)`.
-    fn find(&self, row: usize, id: u32) -> Option<(u32, u32)> {
-        let mut chunk = self.rows.get(row)?.head;
-        while chunk != NONE_CHUNK {
-            let c = &self.chunks[chunk as usize];
-            for pos in 0..c.len {
-                if c.pairs[pos as usize].0 == id {
-                    return Some((chunk, pos));
-                }
-            }
-            chunk = c.next;
-        }
-        None
-    }
-
-    fn get(&self, row: usize, id: u32) -> Option<u32> {
-        self.find(row, id)
-            .map(|(chunk, pos)| self.chunks[chunk as usize].pairs[pos as usize].1)
-    }
-
-    /// Inserts or overwrites a pair; returns `true` when the pair is new.
-    pub(crate) fn set(&mut self, row: usize, id: u32, label: u32) -> bool {
-        if let Some((chunk, pos)) = self.find(row, id) {
-            self.chunks[chunk as usize].pairs[pos as usize].1 = label;
-            false
-        } else {
-            self.push(row, id, label);
-            true
-        }
-    }
-
-    /// Removes a pair by id (swap-remove with the row's last entry, so the
-    /// relative order of the remaining entries may change). Emptied tail
-    /// chunks are unlinked and recycled.
-    pub(crate) fn remove(&mut self, row: usize, id: u32) -> Option<u32> {
-        let (chunk, pos) = self.find(row, id)?;
-        let label = self.chunks[chunk as usize].pairs[pos as usize].1;
-        let tail = self.rows[row].tail;
-        let last = self.chunks[tail as usize].len - 1;
-        self.chunks[chunk as usize].pairs[pos as usize] =
-            self.chunks[tail as usize].pairs[last as usize];
-        self.chunks[tail as usize].len -= 1;
-        self.rows[row].len -= 1;
-        if self.chunks[tail as usize].len == 0 {
-            if self.rows[row].head == tail {
-                self.rows[row] = RowRef::EMPTY;
-            } else {
-                // Walk the (short) chain to unlink the emptied tail.
-                let mut pred = self.rows[row].head;
-                while self.chunks[pred as usize].next != tail {
-                    pred = self.chunks[pred as usize].next;
-                }
-                self.chunks[pred as usize].next = NONE_CHUNK;
-                self.rows[row].tail = pred;
-            }
-            self.free.push(tail);
-        }
-        Some(label)
-    }
-
-    pub(crate) fn row_pairs(&self, row: usize) -> PairIter<'_> {
-        PairIter {
-            chunks: &self.chunks,
-            chunk: self.rows.get(row).map_or(NONE_CHUNK, |r| r.head),
-            pos: 0,
-        }
-    }
-
-    fn rows_equal(&self, other: &Self, row: usize) -> bool {
-        self.row_len(row) == other.row_len(row) && self.row_pairs(row).eq(other.row_pairs(row))
-    }
-}
-
-/// Chain-walking iterator over a row's raw `(id, label)` pairs.
-#[derive(Debug, Clone)]
-pub(crate) struct PairIter<'a> {
-    chunks: &'a [Chunk],
-    chunk: u32,
-    pos: u32,
-}
-
-impl Iterator for PairIter<'_> {
-    type Item = (u32, u32);
-
-    #[inline]
-    fn next(&mut self) -> Option<(u32, u32)> {
-        loop {
-            if self.chunk == NONE_CHUNK {
-                return None;
-            }
-            let c = &self.chunks[self.chunk as usize];
-            if self.pos < c.len {
-                let pair = c.pairs[self.pos as usize];
-                self.pos += 1;
-                return Some(pair);
-            }
-            self.chunk = c.next;
-            self.pos = 0;
-        }
-    }
-}
-
-/// A row's raw `(id, label)` pairs, streamed either from the flat compact
-/// mirror (when the row is clean) or from the paged chunk chain. Both
-/// variants yield the exact same pairs in the exact same (arrival) order —
-/// the compact mirror is rewritten *from* the chain — so downstream float
-/// work is bitwise independent of which variant serves the row.
-#[derive(Debug, Clone)]
-enum RowPairs<'a> {
-    Flat(std::slice::Iter<'a, (u32, u32)>),
-    Chain(PairIter<'a>),
-}
-
-impl RowPairs<'_> {
-    fn empty() -> RowPairs<'static> {
-        RowPairs::Flat([].iter())
-    }
-}
-
-impl Iterator for RowPairs<'_> {
-    type Item = (u32, u32);
-
-    #[inline]
-    fn next(&mut self) -> Option<(u32, u32)> {
-        match self {
-            RowPairs::Flat(iter) => iter.next().copied(),
-            RowPairs::Chain(iter) => iter.next(),
-        }
-    }
-}
 
 /// Iterator over the `(worker, label)` votes of one object, in arrival
 /// order, with tombstoned workers filtered out.
 #[derive(Debug, Clone)]
 pub struct ObjectVotes<'a> {
-    pairs: RowPairs<'a>,
+    pairs: std::slice::Iter<'a, (u32, u32)>,
     excluded: &'a [bool],
 }
 
@@ -308,7 +53,7 @@ impl Iterator for ObjectVotes<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<(WorkerId, LabelId)> {
-        for (id, label) in self.pairs.by_ref() {
+        for &(id, label) in self.pairs.by_ref() {
             if !self.excluded[id as usize] {
                 return Some((WorkerId(id as usize), LabelId(label as usize)));
             }
@@ -321,7 +66,7 @@ impl Iterator for ObjectVotes<'_> {
 /// order. Empty when the worker is tombstoned.
 #[derive(Debug, Clone)]
 pub struct WorkerVotes<'a> {
-    pairs: RowPairs<'a>,
+    pairs: std::slice::Iter<'a, (u32, u32)>,
 }
 
 impl Iterator for WorkerVotes<'_> {
@@ -331,7 +76,7 @@ impl Iterator for WorkerVotes<'_> {
     fn next(&mut self) -> Option<(ObjectId, LabelId)> {
         self.pairs
             .next()
-            .map(|(id, label)| (ObjectId(id as usize), LabelId(label as usize)))
+            .map(|&(id, label)| (ObjectId(id as usize), LabelId(label as usize)))
     }
 }
 
@@ -378,11 +123,8 @@ pub enum Visibility {
 /// allocator actually holds), not lengths.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MatrixMemoryFootprint {
-    /// Paged arena slabs (chunks + row tables + free lists), both views.
-    pub paged_bytes: usize,
-    /// Compact CSR mirrors (pair slabs + row tables + dirty tracking), both
-    /// views.
-    pub compact_bytes: usize,
+    /// Both views' pair slabs and row tables.
+    pub view_bytes: usize,
     /// The worker tombstone mask.
     pub mask_bytes: usize,
 }
@@ -390,36 +132,22 @@ pub struct MatrixMemoryFootprint {
 impl MatrixMemoryFootprint {
     /// Total heap bytes across all components.
     pub fn total_bytes(&self) -> usize {
-        self.paged_bytes + self.compact_bytes + self.mask_bytes
+        self.view_bytes + self.mask_bytes
     }
 }
 
-/// Sparse `objects × workers` matrix of label answers over paged arenas, with
-/// a per-worker tombstone mask for cheap exclusion (see the module docs).
-///
-/// ## Compact CSR mirrors
-///
-/// Next to the authoritative paged arenas the matrix maintains derived flat
-/// CSR mirrors of both views ([`crate::csr`]): mutations mark the touched
-/// rows dirty, [`AnswerMatrix::sync_compact_views`] patches them back from
-/// the chains at batch boundaries, and every accessor transparently streams
-/// a clean mirror row as a sequential slice (falling back to the chunk chain
-/// for stale rows). The two storages always yield identical pair sequences,
-/// so which one serves a row is invisible — down to float summation order —
-/// to every reader.
+/// Sparse `objects × workers` matrix of label answers, stored as two flat
+/// row views (per object and per worker), with a per-worker tombstone mask
+/// for cheap exclusion (see the module docs). Every row is one contiguous
+/// slice: [`AnswerMatrix::object_row_slice`] and
+/// [`AnswerMatrix::worker_row_slice`] hand it to the EM kernels as is, and
+/// the iterator accessors stream the same pairs in the same order.
 #[derive(Debug, Clone)]
 pub struct AnswerMatrix {
-    /// For every object: chain of `(worker, label)` pairs in arrival order.
-    by_object: PagedAdjacency,
-    /// For every worker: chain of `(object, label)` pairs in arrival order.
-    by_worker: PagedAdjacency,
-    /// Flat CSR mirror of `by_object` (derived; never serialized).
-    compact_by_object: CompactAdjacency,
-    /// Flat CSR mirror of `by_worker` (derived; never serialized).
-    compact_by_worker: CompactAdjacency,
-    /// Whether accessors may serve rows from the compact mirrors. Dirty
-    /// tracking continues while disabled, so re-enabling just needs a sync.
-    compact_enabled: bool,
+    /// For every object: its `(worker, label)` pairs in arrival order.
+    by_object: Adjacency,
+    /// For every worker: its `(object, label)` pairs in arrival order.
+    by_worker: Adjacency,
     /// Tombstone mask: `true` marks a worker whose answers are hidden.
     excluded: Vec<bool>,
     /// All recorded answers, tombstoned ones included.
@@ -433,11 +161,8 @@ impl AnswerMatrix {
     /// workers.
     pub fn new(num_objects: usize, num_workers: usize) -> Self {
         Self {
-            by_object: PagedAdjacency::with_rows(num_objects),
-            by_worker: PagedAdjacency::with_rows(num_workers),
-            compact_by_object: CompactAdjacency::with_rows(num_objects),
-            compact_by_worker: CompactAdjacency::with_rows(num_workers),
-            compact_enabled: true,
+            by_object: Adjacency::with_rows(num_objects),
+            by_worker: Adjacency::with_rows(num_workers),
             excluded: vec![false; num_workers],
             recorded_answers: 0,
             hidden_answers: 0,
@@ -480,8 +205,6 @@ impl AnswerMatrix {
     pub fn ensure_shape(&mut self, num_objects: usize, num_workers: usize) {
         self.by_object.ensure_rows(num_objects);
         self.by_worker.ensure_rows(num_workers);
-        self.compact_by_object.ensure_rows(num_objects);
-        self.compact_by_worker.ensure_rows(num_workers);
         if num_workers > self.excluded.len() {
             self.excluded.resize(num_workers, false);
         }
@@ -520,8 +243,6 @@ impl AnswerMatrix {
             self.by_worker
                 .set(worker.index(), object.index() as u32, label.index() as u32);
         }
-        self.compact_by_object.mark_dirty(object.index());
-        self.compact_by_worker.mark_dirty(worker.index());
         Ok(())
     }
 
@@ -536,8 +257,6 @@ impl AnswerMatrix {
         if self.excluded[worker.index()] {
             self.hidden_answers -= 1;
         }
-        self.compact_by_object.mark_dirty(object.index());
-        self.compact_by_worker.mark_dirty(worker.index());
         Some(LabelId(label as usize))
     }
 
@@ -550,23 +269,6 @@ impl AnswerMatrix {
         self.by_object
             .get(object.index(), worker.index() as u32)
             .map(|l| LabelId(l as usize))
-    }
-
-    /// Streams a row from the clean compact mirror when possible, falling
-    /// back to the paged chain. Identical pair sequence either way.
-    #[inline]
-    fn row_pairs_view<'a>(
-        &self,
-        compact: &'a CompactAdjacency,
-        paged: &'a PagedAdjacency,
-        row: usize,
-    ) -> RowPairs<'a> {
-        if self.compact_enabled {
-            if let Some(slice) = compact.row_slice(row) {
-                return RowPairs::Flat(slice.iter());
-            }
-        }
-        RowPairs::Chain(paged.row_pairs(row))
     }
 
     /// Tallies the visible votes of one object into a [`VoteTally`]: the
@@ -607,7 +309,7 @@ impl AnswerMatrix {
     /// order, skipping tombstoned workers.
     pub fn answers_for_object(&self, object: ObjectId) -> ObjectVotes<'_> {
         ObjectVotes {
-            pairs: self.row_pairs_view(&self.compact_by_object, &self.by_object, object.index()),
+            pairs: self.object_row_slice(object).iter(),
             excluded: &self.excluded,
         }
     }
@@ -615,12 +317,9 @@ impl AnswerMatrix {
     /// All `(object, label)` answers recorded by a worker, in arrival order.
     /// Empty when the worker is tombstoned.
     pub fn answers_for_worker(&self, worker: WorkerId) -> WorkerVotes<'_> {
-        let pairs = if self.excluded.get(worker.index()).copied().unwrap_or(false) {
-            RowPairs::empty()
-        } else {
-            self.row_pairs_view(&self.compact_by_worker, &self.by_worker, worker.index())
-        };
-        WorkerVotes { pairs }
+        WorkerVotes {
+            pairs: self.worker_row_slice(worker).iter(),
+        }
     }
 
     /// Every `(worker, label)` answer recorded for an object, tombstoned or not.
@@ -628,76 +327,36 @@ impl AnswerMatrix {
         &self,
         object: ObjectId,
     ) -> impl Iterator<Item = (WorkerId, LabelId)> + Clone + '_ {
-        self.row_pairs_view(&self.compact_by_object, &self.by_object, object.index())
-            .map(|(id, label)| (WorkerId(id as usize), LabelId(label as usize)))
+        self.object_row_slice(object)
+            .iter()
+            .map(|&(id, label)| (WorkerId(id as usize), LabelId(label as usize)))
     }
 
     /// Every `(object, label)` answer recorded by a worker, tombstoned or not.
     pub fn recorded_answers_for_worker(&self, worker: WorkerId) -> WorkerVotes<'_> {
         WorkerVotes {
-            pairs: self.row_pairs_view(&self.compact_by_worker, &self.by_worker, worker.index()),
+            pairs: self.by_worker.row(worker.index()).iter(),
         }
     }
 
-    // -----------------------------------------------------------------------
-    // Compact CSR mirrors (million-scale sequential scans)
-    // -----------------------------------------------------------------------
-
-    /// Patches the compact mirrors back in sync with the paged arenas
-    /// (rewriting dirty rows from the chains, rebuilding on garbage — see
-    /// [`crate::csr`]). Call at ingest-batch boundaries; O(dirty pairs)
-    /// amortized. A no-op when the mirrors are current or disabled.
-    pub fn sync_compact_views(&mut self) {
-        if !self.compact_enabled {
-            return;
-        }
-        self.compact_by_object.sync(&self.by_object);
-        self.compact_by_worker.sync(&self.by_worker);
-    }
-
-    /// Whether any mirror row is stale (i.e. [`Self::sync_compact_views`]
-    /// would do work).
-    pub fn compact_views_dirty(&self) -> bool {
-        self.compact_by_object.has_dirty_rows() || self.compact_by_worker.has_dirty_rows()
-    }
-
-    /// Enables or disables serving rows from the compact mirrors. Dirty
-    /// tracking continues while disabled (re-enabling needs only a sync);
-    /// intended for A/B benchmarking of the paged arm.
-    pub fn set_compact_enabled(&mut self, enabled: bool) {
-        self.compact_enabled = enabled;
-    }
-
-    /// Whether accessors may serve rows from the compact mirrors.
-    pub fn compact_enabled(&self) -> bool {
-        self.compact_enabled
-    }
-
-    /// The object's raw `(worker, label)` row as a flat slice — `None` when
-    /// the mirror row is stale or mirrors are disabled (fall back to
-    /// [`Self::answers_for_object`]). The slice *includes* tombstoned
-    /// workers' pairs; filter with [`Self::excluded_mask`] to match the
-    /// iterator's semantics.
+    /// The object's raw `(worker, label)` row as a flat slice, in arrival
+    /// order; empty for out-of-range objects. The slice *includes*
+    /// tombstoned workers' pairs; filter with [`Self::excluded_mask`] to
+    /// match [`Self::answers_for_object`].
     #[inline]
-    pub fn object_row_slice(&self, object: ObjectId) -> Option<&[(u32, u32)]> {
-        if !self.compact_enabled {
-            return None;
-        }
-        self.compact_by_object.row_slice(object.index())
+    pub fn object_row_slice(&self, object: ObjectId) -> &[(u32, u32)] {
+        self.by_object.row(object.index())
     }
 
-    /// The worker's raw `(object, label)` row as a flat slice — `None` when
-    /// the mirror row is stale or mirrors are disabled. Tombstoned workers
-    /// get `Some(&[])`, matching [`Self::answers_for_worker`].
+    /// The worker's raw `(object, label)` row as a flat slice, in arrival
+    /// order. Empty for tombstoned and out-of-range workers, matching
+    /// [`Self::answers_for_worker`].
     #[inline]
-    pub fn worker_row_slice(&self, worker: WorkerId) -> Option<&[(u32, u32)]> {
-        if !self.compact_enabled {
-            return None;
+    pub fn worker_row_slice(&self, worker: WorkerId) -> &[(u32, u32)] {
+        if self.is_worker_excluded(worker) {
+            return &[];
         }
-        if self.excluded.get(worker.index()).copied().unwrap_or(false) {
-            return Some(&[]);
-        }
-        self.compact_by_worker.row_slice(worker.index())
+        self.by_worker.row(worker.index())
     }
 
     /// The worker tombstone mask, indexed by worker id.
@@ -706,24 +365,20 @@ impl AnswerMatrix {
         &self.excluded
     }
 
-    /// Reserves arena and mirror capacity for roughly `additional` more
-    /// answers. A batch-size hint, not a guarantee: worst-case chunk
-    /// fragmentation can still allocate past it, but typical batch ingestion
-    /// stops paying incremental `Vec` growth mid-loop.
+    /// Reserves slab capacity for roughly `additional` more answers. A
+    /// batch-size hint, not a guarantee: row relocation can still allocate
+    /// past it, but typical batch ingestion stops paying incremental `Vec`
+    /// growth mid-loop.
     pub fn reserve_answers(&mut self, additional: usize) {
         self.by_object.reserve_pairs(additional);
         self.by_worker.reserve_pairs(additional);
-        self.compact_by_object.reserve_pairs(additional);
-        self.compact_by_worker.reserve_pairs(additional);
     }
 
-    /// Measured heap footprint of the matrix: paged arena slabs, compact
-    /// mirrors and the tombstone mask, by allocator capacity.
+    /// Measured heap footprint of the matrix: both views and the tombstone
+    /// mask, by allocator capacity.
     pub fn memory_footprint(&self) -> MatrixMemoryFootprint {
         MatrixMemoryFootprint {
-            paged_bytes: self.by_object.heap_bytes() + self.by_worker.heap_bytes(),
-            compact_bytes: self.compact_by_object.heap_bytes()
-                + self.compact_by_worker.heap_bytes(),
+            view_bytes: self.by_object.heap_bytes() + self.by_worker.heap_bytes(),
             mask_bytes: self.excluded.capacity() * std::mem::size_of::<bool>(),
         }
     }
@@ -760,8 +415,8 @@ impl AnswerMatrix {
     /// `None` when empty.
     pub fn max_label_index(&self) -> Option<usize> {
         (0..self.num_objects())
-            .flat_map(|o| self.by_object.row_pairs(o))
-            .map(|(_, l)| l as usize)
+            .flat_map(|o| self.by_object.row(o))
+            .map(|&(_, l)| l as usize)
             .max()
     }
 
@@ -820,21 +475,22 @@ impl PartialEq for AnswerMatrix {
             && self.num_workers() == other.num_workers()
             && self.excluded == other.excluded
             && self.recorded_answers == other.recorded_answers
-            && (0..self.num_objects()).all(|o| self.by_object.rows_equal(&other.by_object, o))
+            && (0..self.num_objects()).all(|o| self.by_object.row(o) == other.by_object.row(o))
     }
 }
 
 impl Eq for AnswerMatrix {}
 
 /// Renders one adjacency view as row lists of `[id, label]` pairs, in the
-/// exact chain (arrival) order.
-fn adjacency_to_value(adj: &PagedAdjacency) -> Value {
+/// exact within-row (arrival) order.
+fn adjacency_to_value(adj: &Adjacency) -> Value {
     Value::Array(
         (0..adj.num_rows())
             .map(|row| {
                 Value::Array(
-                    adj.row_pairs(row)
-                        .map(|(id, l)| {
+                    adj.row(row)
+                        .iter()
+                        .map(|&(id, l)| {
                             Value::Array(vec![Value::UInt(id as u64), Value::UInt(l as u64)])
                         })
                         .collect(),
@@ -845,13 +501,14 @@ fn adjacency_to_value(adj: &PagedAdjacency) -> Value {
 }
 
 /// Rebuilds one adjacency view from serialized row lists, preserving the
-/// within-row order and rejecting duplicate ids inside a row.
+/// within-row order and rejecting out-of-range ids and duplicate ids inside
+/// a row. The slab comes back tightly packed in row order.
 fn adjacency_from_value(
     value: &Value,
     rows: usize,
     ids: usize,
     what: &str,
-) -> Result<PagedAdjacency, serde::Error> {
+) -> Result<Adjacency, serde::Error> {
     let row_values = value
         .as_array()
         .ok_or_else(|| serde::Error::custom(format!("expected {what} row array")))?;
@@ -861,7 +518,12 @@ fn adjacency_from_value(
             row_values.len()
         )));
     }
-    let mut adj = PagedAdjacency::with_rows(rows);
+    let pairs_total = row_values
+        .iter()
+        .filter_map(|pairs| pairs.as_array().map(<[Value]>::len))
+        .sum();
+    let mut slab: Vec<(u32, u32)> = Vec::with_capacity(pairs_total);
+    let mut row_lens: Vec<u32> = Vec::with_capacity(rows);
     let mut seen: std::collections::HashSet<u32> = std::collections::HashSet::new();
     for (row, pairs) in row_values.iter().enumerate() {
         let pairs = pairs
@@ -880,10 +542,11 @@ fn adjacency_from_value(
                     "{what}: duplicate id {id} in row {row}"
                 )));
             }
-            adj.push(row, id as u32, label as u32);
+            slab.push((id as u32, label as u32));
         }
+        row_lens.push(pairs.len() as u32);
     }
-    Ok(adj)
+    Ok(Adjacency::from_packed(slab, &row_lens))
 }
 
 impl Serialize for AnswerMatrix {
@@ -945,14 +608,14 @@ impl Deserialize for AnswerMatrix {
             std::collections::HashMap::new();
         let mut recorded_answers = 0usize;
         for o in 0..num_objects {
-            for (w, l) in by_object.row_pairs(o) {
+            for &(w, l) in by_object.row(o) {
                 votes.insert((o as u32, w), l);
                 recorded_answers += 1;
             }
         }
         let mut worker_total = 0usize;
         for w in 0..num_workers {
-            for (o, l) in by_worker.row_pairs(w) {
+            for &(o, l) in by_worker.row(w) {
                 if votes.get(&(o, w as u32)) != Some(&l) {
                     return Err(serde::Error::custom(format!(
                         "adjacency views disagree on object {o} / worker {w}"
@@ -967,16 +630,9 @@ impl Deserialize for AnswerMatrix {
                  ({recorded_answers} by object, {worker_total} by worker)"
             )));
         }
-        // The compact mirrors are derived state: start them fully stale and
-        // let the first sync patch them from the restored arenas.
-        let compact_by_object = CompactAdjacency::stale_for(&by_object);
-        let compact_by_worker = CompactAdjacency::stale_for(&by_worker);
         let mut matrix = AnswerMatrix {
             by_object,
             by_worker,
-            compact_by_object,
-            compact_by_worker,
-            compact_enabled: true,
             excluded: vec![false; num_workers],
             recorded_answers,
             hidden_answers: 0,
@@ -1000,6 +656,7 @@ impl Deserialize for AnswerMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small() -> AnswerMatrix {
         let mut m = AnswerMatrix::new(3, 2);
@@ -1073,48 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn rows_spill_across_chunks() {
-        let workers = 3 * CHUNK_CAP + 1;
-        let mut m = AnswerMatrix::new(2, workers);
-        for w in 0..workers {
-            m.set_answer(ObjectId(1), WorkerId(w), LabelId(w % 2))
-                .unwrap();
-        }
-        assert_eq!(m.object_answer_count(ObjectId(1)), workers);
-        let collected: Vec<_> = m.answers_for_object(ObjectId(1)).collect();
-        assert_eq!(collected.len(), workers);
-        // Arrival order preserved across chunk boundaries.
-        for (i, &(w, l)) in collected.iter().enumerate() {
-            assert_eq!(w, WorkerId(i));
-            assert_eq!(l, LabelId(i % 2));
-        }
-        // Overwrite deep inside the chain.
-        m.set_answer(ObjectId(1), WorkerId(CHUNK_CAP + 2), LabelId(1))
-            .unwrap();
-        assert_eq!(m.object_answer_count(ObjectId(1)), workers);
-        assert_eq!(
-            m.answer(ObjectId(1), WorkerId(CHUNK_CAP + 2)),
-            Some(LabelId(1))
-        );
-    }
-
-    #[test]
-    fn remove_recycles_emptied_chunks() {
-        let mut m = AnswerMatrix::new(1, 2 * CHUNK_CAP);
-        for w in 0..2 * CHUNK_CAP {
-            m.set_answer(ObjectId(0), WorkerId(w), LabelId(0)).unwrap();
-        }
-        for w in 0..2 * CHUNK_CAP {
-            assert_eq!(m.remove_answer(ObjectId(0), WorkerId(w)), Some(LabelId(0)));
-        }
-        assert_eq!(m.num_answers(), 0);
-        assert_eq!(m.object_answer_count(ObjectId(0)), 0);
-        // The arena can be refilled after full removal.
-        m.set_answer(ObjectId(0), WorkerId(1), LabelId(1)).unwrap();
-        assert_eq!(m.answer(ObjectId(0), WorkerId(1)), Some(LabelId(1)));
-    }
-
-    #[test]
     fn tombstones_hide_answers_without_removing_them() {
         let mut m = small();
         m.set_worker_excluded(WorkerId(1), true);
@@ -1137,7 +752,6 @@ mod tests {
     #[test]
     fn recorded_accessors_ignore_the_mask() {
         let mut m = small();
-        m.sync_compact_views();
         m.set_worker_excluded(WorkerId(1), true);
         let all: Vec<_> = m.recorded_answers_for_object(ObjectId(0)).collect();
         assert_eq!(
@@ -1149,7 +763,7 @@ mod tests {
             row,
             vec![(ObjectId(0), LabelId(0)), (ObjectId(2), LabelId(1))]
         );
-        // Stale rows come from the chains, in the same order.
+        // An overwrite keeps the pair's place in the row.
         m.set_answer(ObjectId(0), WorkerId(1), LabelId(1)).unwrap();
         let all: Vec<_> = m.recorded_answers_for_object(ObjectId(0)).collect();
         assert_eq!(
@@ -1227,103 +841,6 @@ mod tests {
         }
     }
 
-    /// Interleaved stream large enough to spill chunks in both views.
-    fn interleaved(objects: usize, workers: usize) -> AnswerMatrix {
-        let mut m = AnswerMatrix::new(objects, workers);
-        for i in 0..objects * 3 {
-            let o = (i * 7) % objects;
-            let w = (i * 11) % workers;
-            m.set_answer(ObjectId(o), WorkerId(w), LabelId(i % 3))
-                .unwrap();
-        }
-        m
-    }
-
-    fn assert_same_votes(a: &AnswerMatrix, b: &AnswerMatrix) {
-        for o in 0..a.num_objects() {
-            let x: Vec<_> = a.answers_for_object(ObjectId(o)).collect();
-            let y: Vec<_> = b.answers_for_object(ObjectId(o)).collect();
-            assert_eq!(x, y, "object {o} rows diverge");
-        }
-        for w in 0..a.num_workers() {
-            let x: Vec<_> = a.answers_for_worker(WorkerId(w)).collect();
-            let y: Vec<_> = b.answers_for_worker(WorkerId(w)).collect();
-            assert_eq!(x, y, "worker {w} rows diverge");
-        }
-    }
-
-    #[test]
-    fn compact_views_mirror_the_arena_after_sync() {
-        let mut m = interleaved(17, 5);
-        let mut paged_only = m.clone();
-        paged_only.set_compact_enabled(false);
-        m.sync_compact_views();
-        assert!(!m.compact_views_dirty());
-        assert_same_votes(&m, &paged_only);
-        // Every object row is now servable as a flat slice.
-        for o in 0..m.num_objects() {
-            let slice = m.object_row_slice(ObjectId(o)).expect("clean after sync");
-            let chain: Vec<_> = paged_only
-                .answers_for_object(ObjectId(o))
-                .map(|(w, l)| (w.index() as u32, l.index() as u32))
-                .collect();
-            assert_eq!(slice, &chain[..]);
-        }
-    }
-
-    #[test]
-    fn compact_rows_go_stale_on_mutation_and_recover() {
-        let mut m = interleaved(9, 4);
-        m.sync_compact_views();
-        m.set_answer(ObjectId(2), WorkerId(1), LabelId(2)).unwrap();
-        assert!(m.object_row_slice(ObjectId(2)).is_none());
-        assert!(m.worker_row_slice(WorkerId(1)).is_none());
-        // Stale rows fall back to the chain and stay correct.
-        let mut paged_only = m.clone();
-        paged_only.set_compact_enabled(false);
-        assert_same_votes(&m, &paged_only);
-        m.sync_compact_views();
-        assert!(m.object_row_slice(ObjectId(2)).is_some());
-        assert_same_votes(&m, &paged_only);
-        // Removal dirties too.
-        m.remove_answer(ObjectId(2), WorkerId(1));
-        assert!(m.object_row_slice(ObjectId(2)).is_none());
-        m.sync_compact_views();
-        paged_only = m.clone();
-        paged_only.set_compact_enabled(false);
-        assert_same_votes(&m, &paged_only);
-    }
-
-    #[test]
-    fn tombstones_do_not_dirty_compact_views() {
-        let mut m = interleaved(6, 3);
-        m.sync_compact_views();
-        m.set_worker_excluded(WorkerId(1), true);
-        assert!(!m.compact_views_dirty());
-        // Object slices still hold the raw pairs; the mask filters.
-        let raw = m.object_row_slice(ObjectId(0)).unwrap();
-        let filtered: Vec<_> = m.answers_for_object(ObjectId(0)).collect();
-        assert!(raw.len() >= filtered.len());
-        assert!(filtered.iter().all(|&(w, _)| !m.excluded_mask()[w.index()]));
-        // Worker slices honour the tombstone outright.
-        assert_eq!(m.worker_row_slice(WorkerId(1)), Some(&[][..]));
-        m.set_worker_excluded(WorkerId(1), false);
-        assert!(!m.worker_row_slice(WorkerId(1)).unwrap().is_empty());
-    }
-
-    #[test]
-    fn serde_restores_with_stale_mirrors() {
-        let mut m = interleaved(8, 4);
-        m.sync_compact_views();
-        let restored = AnswerMatrix::from_value(&m.to_value()).unwrap();
-        // Mirrors come back stale and recover on the next sync.
-        assert!(restored.compact_views_dirty());
-        let mut restored = restored;
-        restored.sync_compact_views();
-        assert_same_votes(&m, &restored);
-        assert_eq!(m, restored);
-    }
-
     #[test]
     fn memory_footprint_tracks_growth() {
         let mut m = AnswerMatrix::new(4, 4);
@@ -1333,14 +850,9 @@ mod tests {
                 m.set_answer(ObjectId(o), WorkerId(w), LabelId(0)).unwrap();
             }
         }
-        m.sync_compact_views();
         let filled = m.memory_footprint();
-        assert!(filled.paged_bytes > empty.paged_bytes);
-        assert!(filled.compact_bytes > empty.compact_bytes);
-        assert_eq!(
-            filled.total_bytes(),
-            filled.paged_bytes + filled.compact_bytes + filled.mask_bytes
-        );
+        assert!(filled.view_bytes > empty.view_bytes);
+        assert_eq!(filled.total_bytes(), filled.view_bytes + filled.mask_bytes);
     }
 
     #[test]
@@ -1350,7 +862,6 @@ mod tests {
         m.reserve_answers(1024);
         assert!(m.memory_footprint().total_bytes() > before);
         m.set_answer(ObjectId(0), WorkerId(0), LabelId(0)).unwrap();
-        m.sync_compact_views();
         assert_eq!(m.num_answers(), 1);
     }
 
@@ -1368,5 +879,210 @@ mod tests {
             }
         }
         assert!(AnswerMatrix::from_value(&Value::Object(entries)).is_err());
+    }
+
+    /// Naive reference for the store: one `Vec` of pairs per row and view,
+    /// mutated by the documented order rules (append at the end, overwrite
+    /// in place, swap-remove with the row's last pair).
+    #[derive(Default)]
+    struct Reference {
+        by_object: Vec<Vec<(u32, u32)>>,
+        by_worker: Vec<Vec<(u32, u32)>>,
+        excluded: Vec<bool>,
+    }
+
+    impl Reference {
+        fn ensure_shape(&mut self, objects: usize, workers: usize) {
+            if objects > self.by_object.len() {
+                self.by_object.resize(objects, Vec::new());
+            }
+            if workers > self.by_worker.len() {
+                self.by_worker.resize(workers, Vec::new());
+                self.excluded.resize(workers, false);
+            }
+        }
+
+        fn set(&mut self, o: usize, w: usize, label: u32) {
+            let (ow, wo) = (w as u32, o as u32);
+            match self.by_object[o].iter_mut().find(|(id, _)| *id == ow) {
+                Some(pair) => {
+                    pair.1 = label;
+                    let pair = self.by_worker[w].iter_mut().find(|(id, _)| *id == wo);
+                    pair.expect("views agree").1 = label;
+                }
+                None => {
+                    self.by_object[o].push((ow, label));
+                    self.by_worker[w].push((wo, label));
+                }
+            }
+        }
+
+        fn remove(&mut self, o: usize, w: usize) -> Option<u32> {
+            let pos = self.by_object[o]
+                .iter()
+                .position(|&(id, _)| id == w as u32)?;
+            let label = self.by_object[o].swap_remove(pos).1;
+            let pos = self.by_worker[w].iter().position(|&(id, _)| id == o as u32);
+            self.by_worker[w].swap_remove(pos.expect("views agree"));
+            Some(label)
+        }
+
+        fn label(&self, o: usize, w: usize) -> Option<u32> {
+            self.by_object[o]
+                .iter()
+                .find(|&&(id, _)| id == w as u32)
+                .map(|&(_, l)| l)
+        }
+    }
+
+    /// Every row of both views, the counts, `answer` on the given cells and
+    /// the visible and recorded accessors agree with the reference.
+    fn assert_matches(m: &AnswerMatrix, reference: &Reference, cells: &[(usize, usize)]) {
+        assert_eq!(m.num_objects(), reference.by_object.len());
+        assert_eq!(m.num_workers(), reference.by_worker.len());
+        assert_eq!(m.excluded_mask(), &reference.excluded[..]);
+        let shown = |&&(w, _): &&(u32, u32)| !reference.excluded[w as usize];
+        let raw = |(id, l): (usize, LabelId)| (id as u32, l.index() as u32);
+        let mut visible = 0;
+        for (o, row) in reference.by_object.iter().enumerate() {
+            let object = ObjectId(o);
+            assert_eq!(m.object_row_slice(object), &row[..], "object {o} row");
+            let recorded = m.recorded_answers_for_object(object);
+            assert!(recorded
+                .map(|(w, l)| raw((w.index(), l)))
+                .eq(row.iter().copied()));
+            let seen = m
+                .answers_for_object(object)
+                .map(|(w, l)| raw((w.index(), l)));
+            assert!(
+                seen.eq(row.iter().filter(shown).copied()),
+                "object {o} visible"
+            );
+            let count = row.iter().filter(shown).count();
+            assert_eq!(m.object_answer_count(object), count);
+            visible += count;
+        }
+        let mut recorded = 0;
+        for (w, row) in reference.by_worker.iter().enumerate() {
+            let worker = WorkerId(w);
+            let all = m.recorded_answers_for_worker(worker);
+            assert!(all
+                .map(|(o, l)| raw((o.index(), l)))
+                .eq(row.iter().copied()));
+            let shown: &[(u32, u32)] = if reference.excluded[w] { &[] } else { row };
+            assert_eq!(m.worker_row_slice(worker), shown, "worker {w} slice");
+            let seen = m
+                .answers_for_worker(worker)
+                .map(|(o, l)| raw((o.index(), l)));
+            assert!(seen.eq(shown.iter().copied()), "worker {w} visible");
+            assert_eq!(m.worker_answer_count(worker), shown.len());
+            recorded += row.len();
+        }
+        assert_eq!(m.num_recorded_answers(), recorded);
+        assert_eq!(m.num_answers(), visible);
+        for &(o, w) in cells {
+            let expected = reference
+                .label(o, w)
+                .filter(|_| !reference.excluded[w])
+                .map(|l| LabelId(l as usize));
+            assert_eq!(m.answer(ObjectId(o), WorkerId(w)), expected, "cell {o}/{w}");
+        }
+    }
+
+    fn json_round_trip(m: &AnswerMatrix) -> AnswerMatrix {
+        let json = serde_json::to_string(m).unwrap();
+        let restored: AnswerMatrix = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&restored).unwrap(), json);
+        assert_eq!(&restored, m);
+        restored
+    }
+
+    fn all_cells(reference: &Reference) -> Vec<(usize, usize)> {
+        let workers = reference.by_worker.len();
+        (0..reference.by_object.len())
+            .flat_map(|o| (0..workers).map(move |w| (o, w)))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// The flat store against the reference model, step by step, over
+        /// random `set_answer` / overwrite / `remove_answer` /
+        /// `ensure_shape` / tombstone sequences: a growth phase long enough
+        /// to relocate rows many times, then a removal-heavy phase that
+        /// leaves enough relocation garbage behind to repack both slabs.
+        /// A JSON round trip lands at a random step (the run continues on
+        /// the restored, tightly packed matrix) and at the end.
+        #[test]
+        fn store_matches_a_reference_model(
+            grow in proptest::collection::vec((0u32..100, any::<u64>(), any::<u64>()), 2600..3000usize),
+            shrink in proptest::collection::vec((0u32..100, any::<u64>(), any::<u64>()), 1200..1500usize),
+            round_trip_at in 0usize..3800
+        ) {
+            let mut m = AnswerMatrix::new(24, 20);
+            let mut reference = Reference::default();
+            reference.ensure_shape(24, 20);
+            let mut repacked = [false; 2];
+            let phases = [(&grow, 70), (&shrink, 10)];
+            let steps = phases.iter().flat_map(|&(ops, set_share)| ops.iter().map(move |&op| (op, set_share)));
+            for (step, ((kind, a, b), set_share)) in steps.enumerate() {
+                let objects = reference.by_object.len();
+                let workers = reference.by_worker.len();
+                let (o, w) = ((a % objects as u64) as usize, (b % workers as u64) as usize);
+                let label = (a >> 32) as u32 % 4;
+                let slabs = (m.by_object.slab_len(), m.by_worker.slab_len());
+                match kind {
+                    // Set: a fresh pair or an overwrite of whatever is there.
+                    k if k < set_share => {
+                        m.set_answer(ObjectId(o), WorkerId(w), LabelId(label as usize)).unwrap();
+                        reference.set(o, w, label);
+                    }
+                    // Overwrite (one in four) or remove an existing pair of
+                    // object `o`.
+                    k if k < 85 => {
+                        let row = &reference.by_object[o];
+                        if let Some(&(w, _)) = row.get((b % row.len().max(1) as u64) as usize) {
+                            let w = w as usize;
+                            if (b >> 32) % 4 == 0 {
+                                m.set_answer(ObjectId(o), WorkerId(w), LabelId(label as usize))
+                                    .unwrap();
+                                reference.set(o, w, label);
+                            } else {
+                                let label = reference.remove(o, w).map(|l| LabelId(l as usize));
+                                prop_assert_eq!(m.remove_answer(ObjectId(o), WorkerId(w)), label);
+                            }
+                        }
+                    }
+                    // Remove a random cell, present or not.
+                    85..=87 => {
+                        let label = reference.remove(o, w).map(|l| LabelId(l as usize));
+                        prop_assert_eq!(m.remove_answer(ObjectId(o), WorkerId(w)), label);
+                    }
+                    // Grow the id spaces.
+                    88..=91 => {
+                        let (objects, workers) = (objects + (a % 4) as usize, workers + (b % 3) as usize);
+                        m.ensure_shape(objects, workers);
+                        reference.ensure_shape(objects, workers);
+                    }
+                    // Flip a tombstone.
+                    _ => {
+                        let excluded = !reference.excluded[w];
+                        m.set_worker_excluded(WorkerId(w), excluded);
+                        reference.excluded[w] = excluded;
+                    }
+                }
+                repacked[0] |= m.by_object.slab_len() < slabs.0;
+                repacked[1] |= m.by_worker.slab_len() < slabs.1;
+                assert_matches(&m, &reference, &[(o, w)]);
+                if step == round_trip_at {
+                    m = json_round_trip(&m);
+                    assert_matches(&m, &reference, &all_cells(&reference));
+                }
+            }
+            prop_assert!(repacked[0] && repacked[1], "no repack in {} steps", grow.len() + shrink.len());
+            let restored = json_round_trip(&m);
+            assert_matches(&restored, &reference, &all_cells(&reference));
+        }
     }
 }

@@ -144,19 +144,11 @@ impl AnswerSet {
         self.matrix.reserve_answers(additional);
     }
 
-    /// Patches the matrix's compact CSR mirrors back in sync with the paged
-    /// arenas (see [`AnswerMatrix::sync_compact_views`]). Call at
-    /// ingest-batch boundaries so the EM kernels stream flat rows.
-    pub fn sync_compact_views(&mut self) {
-        self.matrix.sync_compact_views();
-    }
-
-    /// Enables or disables the compact CSR mirrors (see
-    /// [`AnswerMatrix::set_compact_enabled`]). Mainly for benchmarks and
-    /// equivalence tests that A/B the paged-only path.
-    pub fn set_compact_enabled(&mut self, enabled: bool) {
-        self.matrix.set_compact_enabled(enabled);
-    }
+    /// Does nothing: the matrix has one flat row store, written in place,
+    /// so there is no mirror to bring in sync. Kept only for the end-to-end
+    /// benchmark's trace replay, which still calls it; it goes away with
+    /// that caller.
+    pub fn sync_compact_views(&mut self) {}
 
     /// Removes worker `w`'s answer for object `o`, returning the label if an
     /// answer was present.

@@ -1,202 +1,230 @@
-//! Compact (CSR-style) adjacency views over the paged arenas.
+//! Flat (CSR-style) row storage for the two adjacency views of
+//! [`crate::answer_matrix::AnswerMatrix`].
 //!
-//! The paged arena in [`crate::answer_matrix`] is the *authoritative* store:
-//! appends are O(1) amortized, removals recycle chunks, and rows never move
-//! each other around. Its weakness is traversal at scale — every row walk
-//! chases a chunk chain whose pages land wherever arrival order put them, so
-//! a million-object E-step pays a cache miss per 8-entry chunk plus the
-//! chain metadata on every page.
+//! One view is one `(id, label)` pair slab plus a `(start, len, cap)` row
+//! table: row `r` is the window `pairs[start..start + len]`, with `cap`
+//! slots reserved from `start`. That is exactly the layout the EM kernels
+//! stream, so every reader gets a row as one sequential slice.
 //!
-//! [`CompactAdjacency`] is a *derived*, flat mirror of one paged view: one
-//! `(id, label)` pair slab plus a `(start, len, cap)` row table, exactly the
-//! CSR layout the EM kernels want to stream. It is maintained incrementally:
+//! Votes are written in place:
 //!
-//! - **Dirty tracking** — every mutation of a paged row marks the mirror row
-//!   dirty; a dirty row answers [`CompactAdjacency::row_slice`] with `None`
-//!   so readers fall back to the (always-correct) chunk chain.
-//! - **Batch patch** — [`CompactAdjacency::sync`] rewrites each dirty row
-//!   *from the paged chain*, in chain order, so the mirror is
-//!   entry-for-entry identical to the arena by construction (bitwise
-//!   identity of any float work that streams either view). Rows that
-//!   outgrow their capacity relocate to the slab tail with 1.5x slack.
-//! - **Rebuild on garbage** — relocation strands dead capacity; once the
-//!   slab holds more than twice the live pairs (the corpus-doubling rhythm
-//!   of a streaming session) the whole view is repacked in row order, which
-//!   also restores perfect row-major locality for sequential scans.
+//! - **Append** — a pair goes to the end of its row's window. A row that
+//!   outgrows its window relocates to the slab tail with 1.5x slack; the
+//!   old window becomes garbage until the next repack.
+//! - **Overwrite** — the label changes in place.
+//! - **Remove** — swap-remove with the row's last pair, so the relative
+//!   order of the remaining pairs may change.
+//! - **Repack on garbage** — once the slab holds more than twice the live
+//!   pairs (the corpus-doubling rhythm of a streaming session) plus
+//!   [`REBUILD_SLACK`], the whole view is repacked tightly in row order,
+//!   which also restores row-major locality for sequential scans.
 //!
-//! The mirror never serializes: snapshots persist the paged arenas (whose
-//! within-row order is the format contract) and a restored matrix starts
-//! with every non-empty row dirty, to be patched on the next sync.
+//! Within a row, pairs stay in the order those mutations leave them
+//! (arrival order for a pure append stream). That order decides the
+//! summation order of the EM kernels, so it is part of the snapshot
+//! format; repacking never changes it.
 
-use crate::answer_matrix::PagedAdjacency;
-
-/// Extra slab slack (in pairs) tolerated before a garbage-triggered rebuild;
-/// keeps tiny matrices from rebuilding on every sync.
+/// Extra slab slack (in pairs) tolerated before a garbage-triggered repack;
+/// keeps tiny matrices from repacking on every relocation.
 const REBUILD_SLACK: usize = 1024;
 
-/// One row of the compact mirror: a `[start, start + len)` window of the
-/// pair slab, with `cap` pairs reserved from `start`.
+/// One row: a `[start, start + len)` window of the pair slab, with `cap`
+/// pairs reserved from `start`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CompactRow {
+struct Row {
     start: u32,
     len: u32,
     cap: u32,
 }
 
-impl CompactRow {
-    const EMPTY: CompactRow = CompactRow {
+impl Row {
+    const EMPTY: Row = Row {
         start: 0,
         len: 0,
         cap: 0,
     };
 }
 
-/// A flat CSR mirror of one [`PagedAdjacency`] view. See the module docs for
-/// the maintenance contract.
+/// Rows of `(id, label)` pairs over one flat slab. See the module docs for
+/// the growth and repack policy.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct CompactAdjacency {
-    rows: Vec<CompactRow>,
+pub(crate) struct Adjacency {
+    rows: Vec<Row>,
     /// The pair slab. `rows` windows index into this; slots outside every
-    /// window are garbage awaiting the next rebuild.
+    /// window are garbage awaiting the next repack.
     pairs: Vec<(u32, u32)>,
     /// Live pairs across all rows (slab length minus garbage and slack).
     live: usize,
-    /// Rows whose mirror is stale; `dirty_rows` lists them, `dirty` flags
-    /// them for O(1) membership checks.
-    dirty_rows: Vec<u32>,
-    dirty: Vec<bool>,
 }
 
-impl CompactAdjacency {
+impl Adjacency {
     pub(crate) fn with_rows(rows: usize) -> Self {
         Self {
-            rows: vec![CompactRow::EMPTY; rows],
+            rows: vec![Row::EMPTY; rows],
             pairs: Vec::new(),
             live: 0,
-            dirty_rows: Vec::new(),
-            dirty: vec![false; rows],
         }
     }
 
-    /// A mirror for an already-populated arena with every non-empty row
-    /// dirty — the deserialization path.
-    pub(crate) fn stale_for(paged: &PagedAdjacency) -> Self {
-        let mut mirror = Self::with_rows(paged.num_rows());
-        for row in 0..paged.num_rows() {
-            if paged.row_len(row) > 0 {
-                mirror.dirty[row] = true;
-                mirror.dirty_rows.push(row as u32);
-            }
+    /// A tightly packed view over `pairs`, whose rows are consecutive runs
+    /// of `row_lens` pairs (the deserialization path). The caller validates
+    /// the pairs.
+    pub(crate) fn from_packed(pairs: Vec<(u32, u32)>, row_lens: &[u32]) -> Self {
+        let mut start = 0u32;
+        let rows = row_lens
+            .iter()
+            .map(|&len| {
+                let row = Row {
+                    start,
+                    len,
+                    cap: len,
+                };
+                start += len;
+                row
+            })
+            .collect();
+        debug_assert_eq!(start as usize, pairs.len());
+        Self {
+            rows,
+            live: pairs.len(),
+            pairs,
         }
-        mirror
+    }
+
+    pub(crate) fn num_rows(&self) -> usize {
+        self.rows.len()
     }
 
     pub(crate) fn ensure_rows(&mut self, rows: usize) {
         if rows > self.rows.len() {
-            self.rows.resize(rows, CompactRow::EMPTY);
-            self.dirty.resize(rows, false);
+            self.rows.resize(rows, Row::EMPTY);
         }
     }
 
-    /// Marks one row stale. O(1); idempotent.
+    pub(crate) fn row_len(&self, row: usize) -> usize {
+        self.rows.get(row).map_or(0, |r| r.len as usize)
+    }
+
+    /// The row's pairs as one slice; empty for out-of-range rows.
     #[inline]
-    pub(crate) fn mark_dirty(&mut self, row: usize) {
-        if let Some(flag) = self.dirty.get_mut(row) {
-            if !*flag {
-                *flag = true;
-                self.dirty_rows.push(row as u32);
-            }
+    pub(crate) fn row(&self, row: usize) -> &[(u32, u32)] {
+        match self.rows.get(row) {
+            Some(r) => &self.pairs[r.start as usize..(r.start + r.len) as usize],
+            None => &[],
         }
     }
 
-    /// The row's flat pair window, or `None` while the row is stale (readers
-    /// must fall back to the paged chain).
-    #[inline]
-    pub(crate) fn row_slice(&self, row: usize) -> Option<&[(u32, u32)]> {
-        if *self.dirty.get(row)? {
-            return None;
-        }
-        let r = self.rows[row];
-        Some(&self.pairs[r.start as usize..(r.start + r.len) as usize])
-    }
-
-    pub(crate) fn has_dirty_rows(&self) -> bool {
-        !self.dirty_rows.is_empty()
-    }
-
-    /// Reserves slab capacity for `additional` pairs (ingest-batch hint).
+    /// Reserves slab capacity for `additional` pairs (ingest-batch hint;
+    /// relocation slack can still grow the slab past it).
     pub(crate) fn reserve_pairs(&mut self, additional: usize) {
-        self.pairs.reserve(additional);
+        self.grow(additional);
     }
 
-    /// Patches every dirty row from the authoritative arena, then rebuilds
-    /// the whole slab if relocation garbage exceeds the live pair count.
-    pub(crate) fn sync(&mut self, paged: &PagedAdjacency) {
-        if self.dirty_rows.is_empty() {
-            return;
-        }
-        let mut dirty_rows = std::mem::take(&mut self.dirty_rows);
-        for &row in &dirty_rows {
-            let row = row as usize;
-            self.dirty[row] = false;
-            let new_len = paged.row_len(row);
-            let old = self.rows[row];
-            self.live = self.live + new_len - old.len as usize;
-            if new_len as u32 <= old.cap {
-                // Rewrite in place (chain order — the identity contract).
-                let start = old.start as usize;
-                for (slot, pair) in self.pairs[start..start + new_len]
-                    .iter_mut()
-                    .zip(paged.row_pairs(row))
-                {
-                    *slot = pair;
-                }
-                self.rows[row].len = new_len as u32;
-            } else {
-                // Relocate to the slab tail with 1.5x slack; the old window
-                // becomes garbage until the next rebuild.
-                let cap = new_len + new_len / 2;
-                let start = self.pairs.len();
-                self.pairs.extend(paged.row_pairs(row));
-                self.pairs.resize(start + cap, (0, 0));
-                self.rows[row] = CompactRow {
-                    start: start as u32,
-                    len: new_len as u32,
-                    cap: cap as u32,
-                };
-            }
-        }
-        dirty_rows.clear();
-        self.dirty_rows = dirty_rows;
-        if self.pairs.len() > 2 * self.live + REBUILD_SLACK {
-            self.rebuild(paged);
+    /// Makes room for `extra` more pairs past the slab's end, growing the
+    /// allocation by at least half the slab. `Vec`'s own doubling would
+    /// overshoot: the slab is repacked once it holds twice its live pairs,
+    /// so most of a doubled allocation would only be freed again.
+    fn grow(&mut self, extra: usize) {
+        let len = self.pairs.len();
+        if len + extra > self.pairs.capacity() {
+            self.pairs.reserve_exact(extra.max(len / 2));
         }
     }
 
-    /// Repacks the slab tightly in row order (restores sequential-scan
-    /// locality and drops relocation garbage). All rows must be clean.
-    fn rebuild(&mut self, paged: &PagedAdjacency) {
-        let mut pairs = Vec::with_capacity(self.live);
-        for row in 0..self.rows.len() {
-            let start = pairs.len();
-            pairs.extend(paged.row_pairs(row));
-            let len = (pairs.len() - start) as u32;
-            self.rows[row] = CompactRow {
-                start: start as u32,
+    /// Slab index of the pair stored under `id` in `row`.
+    fn find(&self, row: usize, id: u32) -> Option<usize> {
+        let r = self.rows.get(row)?;
+        let start = r.start as usize;
+        self.pairs[start..start + r.len as usize]
+            .iter()
+            .position(|&(i, _)| i == id)
+            .map(|pos| start + pos)
+    }
+
+    /// The label stored under `id` in `row`.
+    pub(crate) fn get(&self, row: usize, id: u32) -> Option<u32> {
+        self.find(row, id).map(|at| self.pairs[at].1)
+    }
+
+    /// Inserts or overwrites a pair; returns `true` when the pair is new.
+    pub(crate) fn set(&mut self, row: usize, id: u32, label: u32) -> bool {
+        if let Some(at) = self.find(row, id) {
+            self.pairs[at].1 = label;
+            false
+        } else {
+            self.push(row, id, label);
+            true
+        }
+    }
+
+    /// Appends a pair to the end of a row (no duplicate check), relocating
+    /// the row to the slab tail when its window is full.
+    pub(crate) fn push(&mut self, row: usize, id: u32, label: u32) {
+        let r = self.rows[row];
+        if r.len < r.cap {
+            self.pairs[(r.start + r.len) as usize] = (id, label);
+            self.rows[row].len += 1;
+        } else {
+            let len = r.len + 1;
+            let cap = len + len / 2;
+            let start = self.pairs.len();
+            let end = u32::try_from(start + cap as usize).expect("slab offsets fit in u32");
+            self.grow(cap as usize);
+            self.pairs
+                .extend_from_within(r.start as usize..(r.start + r.len) as usize);
+            self.pairs.push((id, label));
+            self.pairs.resize(end as usize, (0, 0));
+            self.rows[row] = Row {
+                start: end - cap,
                 len,
-                cap: len,
+                cap,
             };
         }
-        self.live = pairs.len();
+        self.live += 1;
+        if self.pairs.len() > 2 * self.live + REBUILD_SLACK {
+            self.repack();
+        }
+    }
+
+    /// Removes a pair by id: swap-remove with the row's last pair. The
+    /// window keeps its capacity.
+    pub(crate) fn remove(&mut self, row: usize, id: u32) -> Option<u32> {
+        let at = self.find(row, id)?;
+        let r = &mut self.rows[row];
+        r.len -= 1;
+        let last = (r.start + r.len) as usize;
+        let label = self.pairs[at].1;
+        self.pairs[at] = self.pairs[last];
+        self.live -= 1;
+        Some(label)
+    }
+
+    /// Repacks the slab tightly in row order: drops relocation garbage and
+    /// restores sequential-scan locality. Row contents do not change.
+    fn repack(&mut self) {
+        let mut pairs = Vec::with_capacity(self.live);
+        for r in &mut self.rows {
+            let start = pairs.len();
+            pairs.extend_from_slice(&self.pairs[r.start as usize..(r.start + r.len) as usize]);
+            *r = Row {
+                start: start as u32,
+                len: r.len,
+                cap: r.len,
+            };
+        }
         self.pairs = pairs;
     }
 
-    /// Heap bytes held by the mirror (capacities, not lengths).
+    /// Heap bytes held by the view (capacities, not lengths).
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.rows.capacity() * std::mem::size_of::<CompactRow>()
+        self.rows.capacity() * std::mem::size_of::<Row>()
             + self.pairs.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.dirty_rows.capacity() * std::mem::size_of::<u32>()
-            + self.dirty.capacity() * std::mem::size_of::<bool>()
+    }
+
+    /// Slab slots in use, garbage and slack included.
+    #[cfg(test)]
+    pub(crate) fn slab_len(&self) -> usize {
+        self.pairs.len()
     }
 }
 
@@ -204,109 +232,125 @@ impl CompactAdjacency {
 mod tests {
     use super::*;
 
-    fn paged_with(rows: usize, votes: &[(usize, u32, u32)]) -> PagedAdjacency {
-        let mut paged = PagedAdjacency::with_rows(rows);
+    fn with_votes(rows: usize, votes: &[(usize, u32, u32)]) -> Adjacency {
+        let mut adj = Adjacency::with_rows(rows);
         for &(row, id, label) in votes {
-            paged.set(row, id, label);
+            adj.set(row, id, label);
         }
-        paged
-    }
-
-    fn assert_mirrors(mirror: &CompactAdjacency, paged: &PagedAdjacency) {
-        for row in 0..paged.num_rows() {
-            let flat: Vec<_> = mirror
-                .row_slice(row)
-                .expect("row should be clean after sync")
-                .to_vec();
-            let chain: Vec<_> = paged.row_pairs(row).collect();
-            assert_eq!(flat, chain, "row {row} diverged from the arena");
-        }
-    }
-
-    #[test]
-    fn dirty_rows_fall_back_until_synced() {
-        let paged = paged_with(2, &[(0, 7, 1), (0, 8, 0)]);
-        let mut mirror = CompactAdjacency::with_rows(2);
-        mirror.mark_dirty(0);
-        assert!(mirror.row_slice(0).is_none());
-        assert_eq!(mirror.row_slice(1), Some(&[][..]));
-        mirror.sync(&paged);
-        assert_mirrors(&mirror, &paged);
+        adj
     }
 
     #[test]
     fn in_place_patch_and_relocation() {
-        let mut paged = paged_with(3, &[(1, 0, 0)]);
-        let mut mirror = CompactAdjacency::stale_for(&paged);
-        mirror.sync(&paged);
-        assert_mirrors(&mirror, &paged);
-        // Overwrite in place: same length, new label.
-        paged.set(1, 0, 9);
-        mirror.mark_dirty(1);
-        mirror.sync(&paged);
-        assert_mirrors(&mirror, &paged);
-        // Grow past capacity: relocation.
+        let mut adj = with_votes(3, &[(1, 0, 0)]);
+        assert_eq!(adj.row(1), &[(0, 0)]);
+        // Overwrite in place: same window, new label.
+        let before = adj.rows[1];
+        assert!(!adj.set(1, 0, 9));
+        assert_eq!(adj.rows[1], before);
+        assert_eq!(adj.row(1), &[(0, 9)]);
+        // Grow past capacity: the row relocates, keeping its order.
         for id in 1..40 {
-            paged.set(1, id, id % 3);
-            mirror.mark_dirty(1);
+            assert!(adj.set(1, id, id % 3));
         }
-        mirror.sync(&paged);
-        assert_mirrors(&mirror, &paged);
+        assert_ne!(adj.rows[1].start, before.start);
+        let expected: Vec<_> = std::iter::once((0, 9))
+            .chain((1..40).map(|id| (id, id % 3)))
+            .collect();
+        assert_eq!(adj.row(1), &expected[..]);
+        assert!(adj.row(0).is_empty() && adj.row(2).is_empty());
+        assert_eq!(adj.live, 40);
     }
 
     #[test]
     fn shrinking_rows_patch_in_place() {
-        let mut paged = paged_with(1, &[(0, 0, 0), (0, 1, 1), (0, 2, 0)]);
-        let mut mirror = CompactAdjacency::stale_for(&paged);
-        mirror.sync(&paged);
-        paged.remove(0, 1);
-        mirror.mark_dirty(0);
-        mirror.sync(&paged);
-        assert_mirrors(&mirror, &paged);
-        assert_eq!(mirror.live, 2);
+        let mut adj = with_votes(1, &[(0, 0, 0), (0, 1, 1), (0, 2, 0)]);
+        let before = adj.rows[0];
+        assert_eq!(adj.remove(0, 1), Some(1));
+        // The row's last pair filled the hole; the window did not move.
+        assert_eq!(adj.row(0), &[(0, 0), (2, 0)]);
+        assert_eq!(adj.rows[0].start, before.start);
+        assert_eq!(adj.rows[0].cap, before.cap);
+        assert_eq!(adj.remove(0, 1), None);
+        assert_eq!(adj.live, 2);
+        // Regrowing within the old capacity stays in place.
+        adj.push(0, 3, 1);
+        assert_eq!(adj.rows[0].start, before.start);
+        assert_eq!(adj.row(0), &[(0, 0), (2, 0), (3, 1)]);
     }
 
     #[test]
     fn garbage_triggers_a_tight_rebuild() {
         // Grow one row repeatedly so relocation strands enough garbage to
         // cross the 2x-live threshold (REBUILD_SLACK forces a large corpus).
-        let mut paged = PagedAdjacency::with_rows(4);
-        let mut mirror = CompactAdjacency::with_rows(4);
-        let mut id = 0u32;
-        for round in 0..14 {
-            for _ in 0..(1 << round.min(10)) {
-                paged.set(0, id, 0);
-                id += 1;
-            }
-            mirror.mark_dirty(0);
-            mirror.sync(&paged);
+        let mut adj = Adjacency::with_rows(4);
+        let mut repacked = false;
+        for id in 0..(1u32 << 13) {
+            let before = adj.pairs.len();
+            adj.push(0, id, id % 2);
+            repacked |= adj.pairs.len() < before;
         }
-        assert_mirrors(&mirror, &paged);
-        // After a rebuild the slab is tight: no more than live + one row's
-        // relocation slack.
+        assert!(repacked, "no repack after {} pairs", adj.live);
+        let expected: Vec<_> = (0..1u32 << 13).map(|id| (id, id % 2)).collect();
+        assert_eq!(adj.row(0), &expected[..]);
+        // After a repack the slab is tight: no more than live plus one
+        // row's relocation slack.
         assert!(
-            mirror.pairs.len() <= 2 * mirror.live + REBUILD_SLACK,
+            adj.pairs.len() <= 2 * adj.live + REBUILD_SLACK,
             "slab {} vs live {}",
-            mirror.pairs.len(),
-            mirror.live
+            adj.pairs.len(),
+            adj.live
         );
     }
 
     #[test]
+    fn repack_keeps_every_row_in_row_order() {
+        // Interleaved appends scatter the rows across the slab; the repack
+        // lays them out in row order without changing any row.
+        let mut adj = Adjacency::with_rows(7);
+        let mut reference = vec![Vec::new(); 7];
+        for i in 0..4000u32 {
+            let row = (i as usize * 5) % 7;
+            adj.push(row, i, i % 3);
+            reference[row].push((i, i % 3));
+        }
+        adj.repack();
+        let mut expected_start = 0;
+        for (row, pairs) in reference.iter().enumerate() {
+            assert_eq!(adj.row(row), &pairs[..]);
+            assert_eq!(adj.rows[row].start as usize, expected_start);
+            expected_start += pairs.len();
+        }
+        assert_eq!(adj.pairs.len(), adj.live);
+    }
+
+    #[test]
+    fn from_packed_splits_rows_in_order() {
+        let adj = Adjacency::from_packed(vec![(3, 1), (1, 0), (0, 2)], &[2, 0, 1]);
+        assert_eq!(adj.num_rows(), 3);
+        assert_eq!(adj.row(0), &[(3, 1), (1, 0)]);
+        assert!(adj.row(1).is_empty());
+        assert_eq!(adj.row(2), &[(0, 2)]);
+        assert_eq!(adj.slab_len(), 3);
+        assert_eq!(adj.live, 3);
+    }
+
+    #[test]
     fn ensure_rows_keeps_new_rows_clean_and_empty() {
-        let paged = paged_with(1, &[(0, 0, 0)]);
-        let mut mirror = CompactAdjacency::stale_for(&paged);
-        mirror.sync(&paged);
-        mirror.ensure_rows(5);
-        assert_eq!(mirror.row_slice(4), Some(&[][..]));
-        assert_mirrors(&mirror, &paged);
+        let mut adj = with_votes(1, &[(0, 0, 0)]);
+        adj.ensure_rows(5);
+        assert_eq!(adj.num_rows(), 5);
+        assert!(adj.row(4).is_empty());
+        assert!(adj.row(99).is_empty());
+        assert_eq!(adj.row(0), &[(0, 0)]);
     }
 
     #[test]
     fn heap_bytes_counts_slab_and_tables() {
-        let paged = paged_with(2, &[(0, 0, 0), (1, 1, 1)]);
-        let mut mirror = CompactAdjacency::stale_for(&paged);
-        mirror.sync(&paged);
-        assert!(mirror.heap_bytes() >= 2 * std::mem::size_of::<CompactRow>());
+        let adj = with_votes(2, &[(0, 0, 0), (1, 1, 1)]);
+        assert!(
+            adj.heap_bytes()
+                >= 2 * std::mem::size_of::<Row>() + 2 * std::mem::size_of::<(u32, u32)>()
+        );
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! The plan is armed through protocol v5's `FaultInject` request (dispatcher
 //! -handled, gated behind
-//! [`crate::runtime::SupervisionConfig::fault_injection`]) and consumed by
+//! [`crate::supervisor::SupervisionConfig::fault_injection`]) and consumed by
 //! the shard workers through a shared [`FaultRegistry`]. Production builds
 //! never arm a registry, and the per-arrival check is one relaxed atomic
 //! increment plus a lock-free emptiness test.

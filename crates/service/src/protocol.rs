@@ -300,7 +300,7 @@ pub enum Request {
     /// Arms a deterministic fault plan on the runtime (chaos testing).
     /// Dispatcher-handled; refused with
     /// [`ServiceError::FaultInjectionDisabled`] unless the runtime was
-    /// built with [`crate::runtime::SupervisionConfig::fault_injection`] —
+    /// built with [`crate::supervisor::SupervisionConfig::fault_injection`] —
     /// a serial [`crate::ValidationService`] always refuses.
     FaultInject {
         /// The faults to arm, merged into whatever is already pending.
@@ -590,8 +590,8 @@ pub struct ShardStats {
     /// contentious pool).
     pub objects_escalated: u64,
     /// Measured heap bytes of the answer storage across this shard's tasks
-    /// (paged arenas, compact CSR mirrors and the tombstone mask of each
-    /// task's one answer set).
+    /// (the two flat row views and the tombstone mask of each task's one
+    /// answer set).
     pub memory_bytes: u64,
     /// Median request service time (handling only, queue wait excluded),
     /// in microseconds; 0 until the shard has served a request.

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// is recorded in ROADMAP.md. Kept as literals so a fresh session triages
 /// sensibly before any online training has happened.
 const CALIBRATED_WEIGHTS: [f64; TriageFeatures::DIM] = [3.0, 1.5, 2.0, 1.5, 1.5];
-/// Calibrated default bias (see [`CALIBRATED_WEIGHTS`]).
+/// Calibrated default bias (see `CALIBRATED_WEIGHTS`).
 const CALIBRATED_BIAS: f64 = -4.5;
 
 /// splitmix64 — the tiny deterministic generator used for weight
@@ -72,7 +72,7 @@ impl ConvergencePredictor {
         }
     }
 
-    /// The calibrated default model (see [`CALIBRATED_WEIGHTS`]) — what a
+    /// The calibrated default model (see `CALIBRATED_WEIGHTS`) — what a
     /// session uses when triage is enabled and no custom predictor was
     /// installed.
     pub fn calibrated() -> Self {

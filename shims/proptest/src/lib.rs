@@ -215,7 +215,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Sizes accepted by [`vec`]: exact or ranged.
+    /// Sizes accepted by [`vec()`]: exact or ranged.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

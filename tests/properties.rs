@@ -750,16 +750,17 @@ proptest! {
         }
     }
 
-    /// The compact CSR mirrors are invisible to the estimation: aggregating
-    /// an answer set with synced flat views yields **bit-identical**
-    /// posteriors, confusions and priors to the same answer set with the
-    /// mirrors disabled (pure paged-chain iteration), across random
-    /// streaming scenarios — object/worker churn, a mid-stream corpus
+    /// The slab layout is invisible to the estimation: aggregating the
+    /// answer set a streamed session grew in place (rows relocated and
+    /// repacked along the way) yields **bit-identical** posteriors,
+    /// confusions and priors to the same answer set after a JSON round trip
+    /// (every row packed tightly in row order), cold and warm, across
+    /// random streaming scenarios — object/worker churn, a mid-stream corpus
     /// doubling re-anchor (`initial_fraction 0.25`), and an optional
-    /// worker-exclusion flip (the tombstone mask is orthogonal to the
-    /// mirrors and must filter identically on both paths).
+    /// worker-exclusion flip (the tombstone mask must filter identically on
+    /// both layouts).
     #[test]
-    fn csr_views_leave_posteriors_bit_identical(
+    fn restored_store_leaves_posteriors_bit_identical(
         seed in any::<u64>(),
         num_objects in 10usize..20,
         num_workers in 6usize..12,
@@ -794,19 +795,18 @@ proptest! {
             session.set_worker_excluded(victim, true).unwrap();
         }
 
-        let mut csr = session.answers().clone();
-        csr.sync_compact_views();
-        let mut paged = session.answers().clone();
-        paged.set_compact_enabled(false);
+        let live = session.answers();
+        let json = serde_json::to_string(live).unwrap();
+        let restored: AnswerSet = serde_json::from_str(&json).unwrap();
 
-        let expert = ExpertValidation::empty(csr.num_objects());
+        let expert = ExpertValidation::empty(live.num_objects());
         let iem = IncrementalEm::default();
-        let cold_csr = iem.conclude(&csr, &expert, None);
-        let cold_paged = iem.conclude(&paged, &expert, None);
-        prop_assert_eq!(&cold_csr, &cold_paged);
-        let warm_csr = iem.conclude_warm(&csr, &expert, &cold_csr);
-        let warm_paged = iem.conclude_warm(&paged, &expert, &cold_paged);
-        prop_assert_eq!(warm_csr, warm_paged);
+        let cold_live = iem.conclude(live, &expert, None);
+        let cold_restored = iem.conclude(&restored, &expert, None);
+        prop_assert_eq!(&cold_live, &cold_restored);
+        let warm_live = iem.conclude_warm(live, &expert, &cold_live);
+        let warm_restored = iem.conclude_warm(&restored, &expert, &cold_restored);
+        prop_assert_eq!(warm_live, warm_restored);
     }
 
     /// Exclusion and reinstatement survive snapshot/restore bit-identically:
